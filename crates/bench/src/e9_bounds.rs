@@ -561,10 +561,9 @@ pub mod baseline {
     }
 }
 
-/// Known-bad scheme variants for `boundcheck --mutants`: each injects a
-/// realistic size bug and the gate must catch every one. Feature-gated
-/// (`mutants`) so they can never leak into a production sweep.
-#[cfg(feature = "mutants")]
+/// Known-bad scheme variants for `locert boundcheck --mutants`: each
+/// injects a realistic size bug and the gate must catch every one. Only
+/// that self-test applies them; production sweeps use [`targets`].
 pub mod mutants {
     use super::*;
     use locert_core::bits::BitWriter;

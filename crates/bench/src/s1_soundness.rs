@@ -212,8 +212,7 @@ pub fn run_exhaustive() -> Table {
          as a mixed-radix counter) and check that each is rejected by some \
          vertex. The enumeration runs on the locert-par pool; the checked \
          count and any witness are byte-identical at every thread count. \
-         Reproduce with: cargo run --release -p locert-bench --bin \
-         experiments -- s1",
+         Reproduce with: locert experiments s1",
         "verdict column identically sound; checked = full space everywhere",
         &[
             "scheme",

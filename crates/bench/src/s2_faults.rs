@@ -129,8 +129,7 @@ pub fn run_with_provenance(n: usize, runs: usize, seed: u64) -> (Table, Table) {
          = detected / effective runs (no-op injections, e.g. a bit flip \
          into an empty certificate, are excluded); mean locality = average \
          BFS distance from fault site to nearest rejecting vertex. \
-         Reproduce with: cargo run --release -p locert-bench --bin \
-         experiments -- s2",
+         Reproduce with: locert experiments s2",
         "bit-flip detection 1.00 on tree targets; locality ≤ 1 for \
          certificate-level fault models",
         &[
@@ -155,8 +154,8 @@ pub fn run_with_provenance(n: usize, runs: usize, seed: u64) -> (Table, Table) {
          neighbor rejects), and d≥2 (only possible for fault models that \
          corrupt state beyond one certificate, e.g. swap's second site or \
          view-level faults). The dominant reason names the certificate \
-         field the fault actually broke. Reproduce with: cargo run \
-         --release -p locert-bench --bin experiments -- s2",
+         field the fault actually broke. Reproduce with: locert \
+         experiments s2",
         "d≥2 = 0 for single-certificate fault models (radius-1 \
          verification); dominant reasons name load-bearing fields, not \
          generic failures",

@@ -21,21 +21,20 @@
 //! - [`shrink`] — delta-debugging: a disagreement is shrunk to a local
 //!   minimum by greedy vertex then edge removal, each accepted step
 //!   journaled as a `ShrinkStep` event.
-//! - [`mutants`] (test-only, behind the `mutants` feature) — known-bad
-//!   scheme wrappers the oracle must catch; the `diffhunt --mutants`
-//!   self-test asserts it does.
+//! - [`mutants`] — known-bad scheme wrappers the oracle must catch; the
+//!   `locert diffhunt --mutants` self-test asserts it does. Only that
+//!   self-test builds them.
 //!
 //! Everything is deterministic for a fixed seed at any thread count:
 //! graph generation and attack randomness derive from
 //! `locert_par::split_seed`, and the journal records verdicts in vertex
-//! order regardless of the worker schedule. The `diffhunt` binary is the
-//! CLI entry point; CI diffs its journal byte-for-byte across
-//! `LOCERT_THREADS` settings.
+//! order regardless of the worker schedule. `locert diffhunt` is the
+//! CLI entry point; CI diffs its journal byte-for-byte across thread
+//! counts.
 
 pub mod cases;
 pub mod harness;
 pub mod metamorphic;
-#[cfg(any(test, feature = "mutants"))]
 pub mod mutants;
 pub mod shrink;
 

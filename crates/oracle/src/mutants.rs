@@ -3,10 +3,9 @@
 //! Each [`Mutant`] injects one realistic bug class into one catalogue
 //! case — a flipped comparison, an off-by-one certificate width, an
 //! accept-everything verifier — and the oracle must detect every one of
-//! them with a shrunk counterexample. `diffhunt --mutants` runs the
-//! battery; the tests here mirror it in-process. This module is
-//! test-only (`mutants` feature) so the wrappers can never leak into a
-//! production binary.
+//! them with a shrunk counterexample. `locert diffhunt --mutants` runs
+//! the battery; the tests here mirror it in-process. Nothing outside
+//! that self-test applies the wrappers.
 
 use crate::cases::{catalogue, OracleCase, ID_BITS};
 use locert_core::framework::{DeclaredBound, RejectReason};

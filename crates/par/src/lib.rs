@@ -36,11 +36,16 @@
 //! which legitimately varies with the worker count — the metrics exporter
 //! files them in the non-deterministic section of the dump.
 //!
+//! [`run`] holds the command-line context the `locert` tools share:
+//! argument helpers, the `--threads`/`LOCERT_THREADS` resolution that
+//! sizes this pool, artifact writers, and the 0/1/2 exit contract.
+//!
 //! Nested parallelism runs inline: a combinator invoked from inside a
 //! pool task executes sequentially on the calling worker, which keeps
 //! determinism local and makes deadlock impossible by construction.
 
 mod deque;
+pub mod run;
 mod task;
 
 use deque::Deque;
@@ -682,13 +687,12 @@ pub fn global() -> &'static Pool {
     })
 }
 
-/// `LOCERT_THREADS` as a positive integer, if set and well-formed.
+/// `LOCERT_THREADS` as a positive integer, if set and well-formed. The
+/// command-line tools reject a malformed value before the pool exists
+/// (`run::Run`); library callers fall back to the default width.
 fn env_threads() -> Option<usize> {
-    let raw = std::env::var("LOCERT_THREADS").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
+    let raw = std::env::var(run::THREADS_ENV).ok()?;
+    run::resolve_threads(None, Some(&raw)).ok().flatten()
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //! ephemeral ports, then blocks until a client sends the shutdown
 //! opcode — the drain path: in-flight batches finish, late requests get
 //! `shutting-down`, every thread joins, and with `--journal` the event
-//! journal is flushed to JSONL before exit. Exits 0 on a clean drain,
-//! 2 on usage errors.
+//! journal is flushed to JSONL before exit. Flags parse through the
+//! shared `locert_par::run::Run`: exits 0 on a clean drain, 2 on a
+//! usage or IO error.
 
+use locert_par::run::{io_error, usage, Outcome, Run, Verdict};
 use locert_serve::{ServeConfig, Server};
 use locert_trace::journal;
 use std::process::ExitCode;
@@ -35,74 +37,28 @@ certificate cache and per-scheme admission limits.
   --threads N          locert-par worker threads (also LOCERT_THREADS)
   --journal PATH       write the event journal as JSONL on shutdown";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("locert-serve: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
-struct Args {
-    config: ServeConfig,
-    journal: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        config: ServeConfig::default(),
-        journal: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => args.config.addr = it.next().ok_or("--addr needs a value")?,
-            "--metrics-addr" => {
-                args.config.metrics_addr = Some(it.next().ok_or("--metrics-addr needs a value")?)
-            }
-            "--cache-capacity" => {
-                let v = it.next().ok_or("--cache-capacity needs a value")?;
-                args.config.cache_capacity =
-                    v.parse().map_err(|_| format!("bad capacity {v:?}"))?;
-            }
-            "--admission-limit" => {
-                let v = it.next().ok_or("--admission-limit needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad limit {v:?}"))?;
-                if n == 0 {
-                    return Err("--admission-limit must be at least 1".into());
-                }
-                args.config.admission_limit = n;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                if !locert_par::configure_threads(n) {
-                    return Err("--threads must come before any parallel work".into());
-                }
-            }
-            "--journal" => args.journal = Some(it.next().ok_or("--journal needs a path")?.into()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
+fn serve(run: &mut Run) -> Outcome {
+    let mut config = ServeConfig::default();
+    if let Some(addr) = run.take_opt("--addr")? {
+        config.addr = addr;
     }
-    Ok(args)
-}
+    config.metrics_addr = run.take_opt("--metrics-addr")?;
+    if let Some(capacity) = run.take_parsed("--cache-capacity")? {
+        config.cache_capacity = capacity;
+    }
+    if let Some(limit) = run.take_parsed("--admission-limit")? {
+        config.admission_limit = limit;
+    }
+    if config.admission_limit == 0 {
+        return Err(usage("--admission-limit must be at least 1"));
+    }
+    run.threads()?;
+    let journal_path = run.take_opt("--journal")?;
+    run.done()?;
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => return fail(&msg),
-    };
     locert_trace::enable();
     journal::enable();
-    let mut server = match Server::start(&args.config) {
-        Ok(server) => server,
-        Err(e) => return fail(&format!("cannot start: {e}")),
-    };
+    let mut server = Server::start(&config).map_err(|e| io_error(format!("cannot start: {e}")))?;
     println!("ready addr={}", server.addr());
     if let Some(addr) = server.metrics_addr() {
         println!("ready metrics={addr}");
@@ -110,15 +66,12 @@ fn main() -> ExitCode {
     server.join();
     let (hits, misses, evictions) = server.cache_stats();
     eprintln!("locert-serve: drained (cache hits={hits} misses={misses} evictions={evictions})");
-    if let Some(path) = &args.journal {
-        let snap = journal::snapshot();
-        let write = std::fs::File::create(path)
-            .map_err(|e| e.to_string())
-            .and_then(|mut f| journal::write_jsonl(&snap, &mut f).map_err(|e| e.to_string()));
-        if let Err(e) = write {
-            eprintln!("locert-serve: cannot write journal {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
+    if let Some(path) = &journal_path {
+        Run::write_journal(path, &journal::snapshot())?;
     }
-    ExitCode::SUCCESS
+    Ok(Verdict::Pass)
+}
+
+fn main() -> ExitCode {
+    Run::new("locert-serve", USAGE, std::env::args().skip(1).collect()).main(serve)
 }

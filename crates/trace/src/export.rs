@@ -142,6 +142,98 @@ pub fn split_deterministic(snap: &Snapshot) -> (Snapshot, Snapshot) {
     (deterministic, timing)
 }
 
+/// The schema tag of every metrics document the tools write.
+pub const METRICS_SCHEMA: &str = "locert-trace/v2";
+
+/// Builds a `locert-trace/v2` metrics document from labeled sections
+/// `(id, wall seconds, snapshot)`.
+///
+/// Each snapshot is split by [`split_deterministic`]: the
+/// seed-deterministic half goes under `experiments` (byte-stable at any
+/// thread count), the run-varying half plus `wall_s` under `timings`.
+/// With a journal snapshot, a `journal` section records the ring's
+/// capacity, entry count, and drop count, so a truncated journal is
+/// visible without parsing the JSONL.
+pub fn metrics_v2(
+    quick: bool,
+    sections: &[(String, f64, Snapshot)],
+    journal: Option<&crate::journal::JournalSnapshot>,
+) -> Value {
+    let mut experiments = Vec::new();
+    let mut timings = Vec::new();
+    for (id, wall_s, snap) in sections {
+        let (deterministic, timing) = split_deterministic(snap);
+        experiments.push(Value::obj([
+            ("id".to_string(), Value::from(id.as_str())),
+            ("telemetry".to_string(), snapshot_to_json(&deterministic)),
+        ]));
+        timings.push(Value::obj([
+            ("id".to_string(), Value::from(id.as_str())),
+            ("wall_s".to_string(), Value::Num(*wall_s)),
+            ("telemetry".to_string(), snapshot_to_json(&timing)),
+        ]));
+    }
+    let mut fields = vec![
+        ("schema".to_string(), Value::from(METRICS_SCHEMA)),
+        ("quick".to_string(), Value::Bool(quick)),
+        ("experiments".to_string(), Value::Arr(experiments)),
+        ("timings".to_string(), Value::Arr(timings)),
+    ];
+    if let Some(snap) = journal {
+        let capacity = crate::journal::capacity() as u64;
+        fields.push((
+            "journal".to_string(),
+            Value::obj([
+                ("capacity".to_string(), Value::from(capacity)),
+                ("dropped".to_string(), Value::from(snap.dropped)),
+                (
+                    "entries".to_string(),
+                    Value::from(snap.entries.len() as u64),
+                ),
+            ]),
+        ));
+    }
+    Value::obj(fields)
+}
+
+/// The `journal` section of a `locert-trace/v2` document as
+/// `(capacity, dropped, entries)`; `Ok(None)` when the section is absent,
+/// an error when a field is missing or not a non-negative integer.
+pub fn journal_section(doc: &Value) -> Result<Option<(u64, u64, u64)>, String> {
+    let Some(j) = doc.get("journal") else {
+        return Ok(None);
+    };
+    let field = |name: &str| {
+        j.get(name)
+            .and_then(Value::as_num)
+            .filter(|v| v.fract() == 0.0 && *v >= 0.0)
+            .map(|v| v as u64)
+            .ok_or_else(|| format!("journal section has no integer \"{name}\""))
+    };
+    Ok(Some((
+        field("capacity")?,
+        field("dropped")?,
+        field("entries")?,
+    )))
+}
+
+/// The deterministic section of a `locert-trace/v2` document (`quick`
+/// plus `experiments`), re-serialized with sorted keys so only content
+/// matters. Two runs of the same seeded command at any thread count must
+/// project to the same string.
+pub fn deterministic_section(doc: &Value) -> Result<String, String> {
+    let field = |key: &str| {
+        doc.get(key)
+            .cloned()
+            .ok_or_else(|| format!("missing \"{key}\""))
+    };
+    Ok(Value::obj([
+        ("quick".to_string(), field("quick")?),
+        ("experiments".to_string(), field("experiments")?),
+    ])
+    .to_string())
+}
+
 fn chrome_event(name: &str, ts_us: f64, dur_us: f64, calls: u64) -> Value {
     Value::obj([
         ("name".to_string(), Value::from(name)),
@@ -530,5 +622,35 @@ mod tests {
                 .map(<[json::Value]>::len),
             Some(0)
         );
+    }
+
+    #[test]
+    fn v2_document_projects_and_reports_its_journal() {
+        let mut snap = Snapshot {
+            counters: Default::default(),
+            histograms: Default::default(),
+            spans: Vec::new(),
+        };
+        snap.counters.insert("core.x".to_string(), 3);
+        snap.counters.insert("par.worker.steals".to_string(), 9);
+        let journal = crate::journal::JournalSnapshot {
+            entries: Vec::new(),
+            dropped: 0,
+        };
+        let doc = metrics_v2(true, &[("e1".to_string(), 0.5, snap)], Some(&journal));
+        let section = deterministic_section(&doc).expect("v2 has both keys");
+        assert!(section.contains("core.x") && !section.contains("par.worker.steals"));
+        let (capacity, dropped, entries) = journal_section(&doc).unwrap().expect("journal");
+        assert_eq!((dropped, entries), (0, 0));
+        assert!(capacity >= 1);
+
+        let no_quick = json::parse(r#"{"experiments":[]}"#).unwrap();
+        assert_eq!(
+            deterministic_section(&no_quick),
+            Err("missing \"quick\"".to_string())
+        );
+        assert_eq!(journal_section(&no_quick), Ok(None));
+        let bad = json::parse(r#"{"journal":{"capacity":-1,"dropped":0,"entries":0}}"#).unwrap();
+        assert!(journal_section(&bad).is_err());
     }
 }

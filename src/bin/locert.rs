@@ -1,10 +1,17 @@
-//! `locert` — command-line front end for the certification library.
+//! `locert` — command-line front end for the certification library and
+//! its gates.
 //!
 //! ```text
 //! locert certify <scheme> <graph-file> [--certs OUT]   prover → certificates
 //! locert verify  <scheme> <graph-file> --certs FILE    run every local verifier
 //! locert schemes                                       list available schemes
+//! locert experiments | boundcheck | bench_diff | diffhunt | netstorm
+//!        | loadgen | tracescope | trace-check …       the tools (see USAGE)
 //! ```
+//!
+//! Every command parses its flags through one `locert_par::run::Run`
+//! and follows one exit contract: 0 pass, 1 gate finding (a rejection,
+//! regression, violation, or divergence), 2 usage or IO error.
 //!
 //! Graph files use the edge-list format of `locert::graph::io` (lines
 //! `u v`, optional `p <n>` header, `#`/`c` comments). Certificates are
@@ -43,7 +50,50 @@ use locert::cert::schemes::universal::fpf_automorphism_scheme;
 use locert::cert::{run_verification, Assignment, Instance, Scheme};
 use locert::graph::{io, Graph, IdAssignment};
 use locert::logic::props;
+use locert_par::run::{io_error, usage, Failure, Outcome, Run, Verdict};
 use std::process::ExitCode;
+
+#[path = "locert/bench_diff.rs"]
+mod bench_diff;
+#[path = "locert/boundcheck.rs"]
+mod boundcheck;
+#[path = "locert/diffhunt.rs"]
+mod diffhunt;
+#[path = "locert/experiments.rs"]
+mod experiments;
+#[path = "locert/loadgen.rs"]
+mod loadgen;
+#[path = "locert/netstorm.rs"]
+mod netstorm;
+#[path = "locert/trace_check.rs"]
+mod trace_check;
+#[path = "locert/tracescope.rs"]
+mod tracescope;
+
+const USAGE: &str = "\
+usage: locert <command> …
+
+  certify <scheme> <graph-file> [--certs OUT]
+                 run the prover, verify, and write certificates
+  verify <scheme> <graph-file> --certs FILE
+                 run every local verifier on stored certificates
+  schemes        list available schemes
+  experiments    regenerate EXPERIMENTS.md (paper vs. measured)
+  boundcheck     certificate-size conformance gate (BOUNDS_baseline.json)
+  bench_diff     benchmark regression gate
+  diffhunt       differential oracle over every scheme
+  netstorm       network fault-grid campaign
+  loadgen        seeded load generator for a live locert-serve
+  tracescope     journal analytics: query, why, diff, windows, flame, tail, serve
+  trace-check    validate or compare locert-trace/v2 metrics documents
+
+Run `locert <command> --help` for its flags. Exit codes: 0 pass,
+1 gate finding, 2 usage or IO error.";
+
+const CERTIFY_USAGE: &str = "\
+usage: locert certify <scheme> <graph-file> [--certs OUT]
+       locert verify  <scheme> <graph-file> --certs FILE
+       locert schemes";
 
 const SCHEME_HELP: &str = "\
 available schemes:
@@ -98,24 +148,41 @@ fn build_scheme(spec: &str, id_bits: u32) -> Result<Box<dyn Scheme>, String> {
     })
 }
 
-fn load_graph(path: &str) -> Result<Graph, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let g = io::parse_edge_list(&text).map_err(|e| format!("{path}: {e}"))?;
+fn load_graph(path: &str) -> Result<Graph, Failure> {
+    let text = Run::read(path)?;
+    let g = io::parse_edge_list(&text).map_err(|e| io_error(format!("{path}: {e}")))?;
     if g.num_nodes() == 0 {
-        return Err("graph is empty".into());
+        return Err(io_error("graph is empty"));
     }
     if !g.is_connected() {
-        return Err("graph is disconnected (the model assumes connectivity)".into());
+        return Err(io_error(
+            "graph is disconnected (the model assumes connectivity)",
+        ));
     }
     Ok(g)
 }
 
-fn cmd_certify(spec: &str, graph_path: &str, certs_out: Option<&str>) -> Result<(), String> {
-    let g = load_graph(graph_path)?;
+/// The `<scheme> <graph-file>` operands of `certify` and `verify`.
+fn scheme_and_graph(run: &mut Run) -> Result<(Box<dyn Scheme>, Graph), Failure> {
+    let [spec, graph_path] = run.exactly("<scheme> <graph-file>")?;
+    let g = load_graph(&graph_path)?;
+    let ids = IdAssignment::contiguous(g.num_nodes());
+    let scheme = build_scheme(&spec, id_bits_for(&Instance::new(&g, &ids))).map_err(usage)?;
+    Ok((scheme, g))
+}
+
+fn cmd_certify(run: &mut Run) -> Outcome {
+    let certs_out = run.take_opt("--certs")?;
+    let (scheme, g) = scheme_and_graph(run)?;
     let ids = IdAssignment::contiguous(g.num_nodes());
     let inst = Instance::new(&g, &ids);
-    let scheme = build_scheme(spec, id_bits_for(&inst))?;
-    let assignment = scheme.assign(&inst).map_err(|e| format!("prover: {e}"))?;
+    let assignment = match scheme.assign(&inst) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("locert certify: prover: {e}");
+            return Ok(Verdict::Finding);
+        }
+    };
     let outcome = run_verification(scheme.as_ref(), &inst, &assignment);
     println!(
         "scheme {}: n = {}, certificate size = {} bits (total {} bits), verification: {}",
@@ -135,83 +202,76 @@ fn cmd_certify(spec: &str, graph_path: &str, certs_out: Option<&str>) -> Result<
             text.push_str(&assignment.cert(v).to_hex());
             text.push('\n');
         }
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        Run::write_artifact(&path, &text)?;
         println!("certificates written to {path}");
     }
     if !outcome.accepted() {
-        return Err("honest certificates were rejected — please report this".into());
+        eprintln!("locert certify: honest certificates were rejected — please report this");
     }
-    Ok(())
+    Ok(Verdict::from_clean(outcome.accepted()))
 }
 
-fn cmd_verify(spec: &str, graph_path: &str, certs_path: &str) -> Result<(), String> {
-    let g = load_graph(graph_path)?;
+fn cmd_verify(run: &mut Run) -> Outcome {
+    let certs_path = run
+        .take_opt("--certs")?
+        .ok_or_else(|| usage("verify needs --certs FILE"))?;
+    let (scheme, g) = scheme_and_graph(run)?;
     let ids = IdAssignment::contiguous(g.num_nodes());
     let inst = Instance::new(&g, &ids);
-    let scheme = build_scheme(spec, id_bits_for(&inst))?;
-    let text = std::fs::read_to_string(certs_path)
-        .map_err(|e| format!("cannot read {certs_path}: {e}"))?;
-    let certs: Vec<Certificate> = text
+    let certs: Vec<Certificate> = Run::read(&certs_path)?
         .lines()
         .enumerate()
         .map(|(i, line)| {
-            Certificate::from_hex(line.trim())
-                .ok_or_else(|| format!("{certs_path}: line {} is not a certificate", i + 1))
+            Certificate::from_hex(line.trim()).ok_or_else(|| {
+                io_error(format!("{certs_path}: line {} is not a certificate", i + 1))
+            })
         })
         .collect::<Result<_, _>>()?;
     if certs.len() != g.num_nodes() {
-        return Err(format!(
+        return Err(io_error(format!(
             "{} certificates for {} vertices",
             certs.len(),
             g.num_nodes()
-        ));
+        )));
     }
     let outcome = run_verification(scheme.as_ref(), &inst, &Assignment::new(certs));
     if outcome.accepted() {
         println!("ACCEPTED: every vertex accepts");
-        Ok(())
     } else {
         println!("REJECTED by vertices {:?}", outcome.rejecting());
-        Err("verification failed".into())
     }
+    Ok(Verdict::from_clean(outcome.accepted()))
+}
+
+fn cmd_schemes(run: &mut Run) -> Outcome {
+    run.done()?;
+    println!("{SCHEME_HELP}");
+    Ok(Verdict::Pass)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("schemes") => {
-            println!("{SCHEME_HELP}");
-            Ok(())
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    type Tool = fn(&mut Run) -> Outcome;
+    let (usage_text, tool): (&'static str, Tool) = match args.first().map(String::as_str) {
+        Some("certify") => (CERTIFY_USAGE, cmd_certify),
+        Some("verify") => (CERTIFY_USAGE, cmd_verify),
+        Some("schemes") => (CERTIFY_USAGE, cmd_schemes),
+        Some("experiments") => (experiments::USAGE, experiments::main),
+        Some("boundcheck") => (boundcheck::USAGE, boundcheck::main),
+        Some("bench_diff") => (bench_diff::USAGE, bench_diff::main),
+        Some("diffhunt") => (diffhunt::USAGE, diffhunt::main),
+        Some("netstorm") => (netstorm::USAGE, netstorm::main),
+        Some("loadgen") => (loadgen::USAGE, loadgen::main),
+        Some("tracescope") => (tracescope::USAGE, tracescope::main),
+        Some("trace-check") => (trace_check::USAGE, trace_check::main),
+        // `locert --help` prints USAGE through the same path.
+        _ => {
+            return Run::new("locert", USAGE, args).main(|run| match run.shift() {
+                Some(cmd) => Err(usage(format!("unknown command {cmd:?}"))),
+                None => Err(usage("missing command")),
+            })
         }
-        Some("certify") if args.len() >= 3 => {
-            let certs_out = args
-                .iter()
-                .position(|a| a == "--certs")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            cmd_certify(&args[1], &args[2], certs_out)
-        }
-        Some("verify") if args.len() >= 3 => {
-            let certs = args
-                .iter()
-                .position(|a| a == "--certs")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            match certs {
-                Some(c) => cmd_verify(&args[1], &args[2], c),
-                None => Err("verify needs --certs FILE".into()),
-            }
-        }
-        _ => Err(format!(
-            "usage:\n  locert certify <scheme> <graph-file> [--certs OUT]\n  \
-             locert verify <scheme> <graph-file> --certs FILE\n  locert schemes\n\n{SCHEME_HELP}"
-        )),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    let command = args.remove(0);
+    Run::new(format!("locert {command}"), usage_text, args).main(tool)
 }

@@ -1,27 +1,111 @@
-//! CLI-level tests for the two observability binaries: the `bench-diff`
-//! regression gate and the `experiments` journal/metrics flags. These
-//! drive the real executables (via `CARGO_BIN_EXE_*`), so they cover
-//! argument parsing, exit codes, and on-disk artifact formats — the
-//! contract CI scripts rely on.
+//! CLI-level tests of the `locert` command: the shared exit and
+//! thread-count contract of every subcommand, the `bench_diff`
+//! regression gate, and the `experiments` journal/metrics flags. These
+//! drive the real executable, so they cover argument parsing, exit
+//! codes, and on-disk artifact formats — the contract CI scripts rely on.
 
+mod common;
+
+use common::{locert, stderr_of};
 use locert_trace::journal;
 use std::path::PathBuf;
 use std::process::Command;
 
 fn bench_diff() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_bench_diff"))
+    let mut cmd = locert();
+    cmd.arg("bench_diff");
+    cmd
 }
 
 fn experiments() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_experiments"))
+    let mut cmd = locert();
+    cmd.arg("experiments");
+    cmd
 }
 
 /// A scratch path unique to this test process (tests share a target
 /// dir across runs; stale files from a previous run are overwritten).
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("locert-cli-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(name)
+    common::scratch_dir("cli-gate").join(name)
+}
+
+/// Every subcommand, with arguments that would otherwise be valid
+/// enough to reach the thread-count check.
+const SUBCOMMANDS: [&[&str]; 11] = [
+    &["certify", "acyclicity", "/nonexistent.el"],
+    &[
+        "verify",
+        "acyclicity",
+        "/nonexistent.el",
+        "--certs",
+        "/nonexistent",
+    ],
+    &["schemes"],
+    &["experiments", "--quick", "f4", "--out", "/nonexistent/x.md"],
+    &["boundcheck", "--list"],
+    &["bench_diff", "/nonexistent/a.json", "/nonexistent/b.json"],
+    &["diffhunt", "--list"],
+    &["netstorm", "--list"],
+    &["loadgen", "--addr", "127.0.0.1:9"],
+    &["tracescope", "tail", "/nonexistent.jsonl"],
+    &["trace-check", "/nonexistent.json"],
+];
+
+/// The subcommands that take `--threads`.
+const THREADED: [&str; 4] = ["experiments", "boundcheck", "diffhunt", "netstorm"];
+
+/// `--threads 0`, `--threads x`, `LOCERT_THREADS=0` and
+/// `LOCERT_THREADS=abc` are one usage error (exit 2) everywhere.
+#[test]
+fn bad_thread_counts_are_usage_errors_in_every_subcommand() {
+    for args in SUBCOMMANDS {
+        for bad in ["0", "abc"] {
+            let out = locert()
+                .args(args)
+                .env("LOCERT_THREADS", bad)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "LOCERT_THREADS={bad} {args:?}");
+            assert!(
+                stderr_of(&out).contains(&format!("LOCERT_THREADS={bad}: thread count must")),
+                "stderr names the source: {}",
+                stderr_of(&out)
+            );
+        }
+        if THREADED.contains(&args[0]) {
+            for bad in ["0", "x"] {
+                let out = locert()
+                    .args(args)
+                    .args(["--threads", bad])
+                    .output()
+                    .unwrap();
+                assert_eq!(out.status.code(), Some(2), "--threads {bad} {args:?}");
+                assert!(
+                    stderr_of(&out).contains(&format!("--threads {bad}: thread count must")),
+                    "stderr names the source: {}",
+                    stderr_of(&out)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn usage_errors_exit_two_and_help_exits_zero() {
+    for args in [&[][..], &["frobnicate"], &["tracescope"]] {
+        let out = locert().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr_of(&out).contains("usage"), "{args:?} prints usage");
+    }
+    for args in [
+        &["--help"][..],
+        &["netstorm", "--help"],
+        &["boundcheck", "-h"],
+    ] {
+        let out = locert().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("usage"));
+    }
 }
 
 const CRITERION_FIXTURE: &str = r#"{
@@ -176,24 +260,19 @@ fn usage_and_io_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2), "threshold < 1 is a usage error");
     // Mixed schemas.
     let metrics = scratch("usage_metrics.json");
-    std::fs::write(
-        &metrics,
-        r#"{"schema": "locert-trace/v1", "quick": true, "experiments": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}]}"#,
-    )
-    .unwrap();
+    std::fs::write(&metrics, METRICS_FIXTURE).unwrap();
     let out = bench_diff().arg(&path).arg(&metrics).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "schema mismatch is an error");
 }
+
+/// A `locert-trace/v2` document: wall-clock lives in `timings`.
+const METRICS_FIXTURE: &str = r#"{"schema": "locert-trace/v2", "quick": true, "experiments": [{"id": "e1", "telemetry": {}}, {"id": "s2", "telemetry": {}}], "timings": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}, {"id": "s2", "wall_s": 2.0, "telemetry": {}}]}"#;
 
 #[test]
 fn metrics_schema_compares_wall_seconds() {
     let base = scratch("wall_base.json");
     let slow = scratch("wall_slow.json");
-    std::fs::write(
-        &base,
-        r#"{"schema": "locert-trace/v1", "quick": true, "experiments": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}, {"id": "s2", "wall_s": 2.0, "telemetry": {}}]}"#,
-    )
-    .unwrap();
+    std::fs::write(&base, METRICS_FIXTURE).unwrap();
     let out = bench_diff()
         .args(["scale", "2.0"])
         .arg(&base)
@@ -267,7 +346,7 @@ fn experiments_rejects_unwritable_metrics_path_without_panicking() {
         .unwrap();
     assert_eq!(
         out.status.code(),
-        Some(1),
+        Some(2),
         "unwritable metrics path must be an IO error, not a panic"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -285,7 +364,7 @@ fn experiments_rejects_unknown_flags_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
-/// The tentpole acceptance check: `experiments --journal` writes a
+/// `locert experiments --journal` writes a
 /// seed-deterministic JSONL journal whose verdict trail round-trips
 /// through the parser.
 #[test]

@@ -1,8 +1,11 @@
-//! Black-box tests of the `tracescope` binary: exit-code contract
+//! Black-box tests of `locert tracescope`: exit-code contract
 //! (0 success / 1 finding / 2 usage-io), `diff` divergence reporting,
 //! `why` causal resolution, and the `serve` wire surface — the same
 //! invocations the CI scope-gate runs.
 
+mod common;
+
+use common::{locert, stderr_of, stdout_of};
 use locert_core::faults::{run_campaign, FaultModel};
 use locert_core::framework::{Instance, Prover};
 use locert_core::schemes::spanning_tree::VertexCountScheme;
@@ -14,30 +17,25 @@ use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
 fn tracescope() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_tracescope"))
+    let mut cmd = locert();
+    cmd.arg("tracescope");
+    cmd
 }
 
 fn run(args: &[&str]) -> Output {
-    tracescope().args(args).output().expect("spawn tracescope")
+    tracescope()
+        .args(args)
+        .output()
+        .expect("spawn locert tracescope")
 }
 
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
-}
-
-/// A scratch dir unique to this test process, cleaned up by the OS.
+/// A scratch path unique to this test process.
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tracescope-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+    common::scratch_dir("tracescope-cli").join(name)
 }
 
 /// A small real campaign journal, written to disk via the streaming
-/// writer (the same path `experiments --journal` takes). The journal is
+/// writer (the same path `locert experiments --journal` takes). The journal is
 /// process-global state and the harness runs tests in parallel, so
 /// generation is serialized.
 fn write_campaign_journal(name: &str) -> PathBuf {
@@ -186,7 +184,7 @@ fn serve_answers_scrapes_then_exits_on_budget() {
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn tracescope serve");
+        .expect("spawn locert tracescope serve");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let banner = lines

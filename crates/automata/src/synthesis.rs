@@ -273,16 +273,14 @@ impl TrainedAutomaton {
             accepting,
         )
         .expect("well-formed");
-        if locert_trace::enabled() {
-            locert_trace::add("automata.synthesis.runs", 1);
-            locert_trace::add("automata.synthesis.types", num_types as u64);
-            locert_trace::add(
-                "automata.synthesis.transitions",
-                final_transitions.len() as u64,
-            );
-            locert_trace::record("automata.synthesis.states", num_states as u64);
-            locert_trace::record("automata.synthesis.rank", k as u64);
-        }
+        locert_trace::add("automata.synthesis.runs", 1);
+        locert_trace::add("automata.synthesis.types", num_types as u64);
+        locert_trace::add(
+            "automata.synthesis.transitions",
+            final_transitions.len() as u64,
+        );
+        locert_trace::record("automata.synthesis.states", num_states as u64);
+        locert_trace::record("automata.synthesis.rank", k as u64);
         Ok(TrainedAutomaton {
             automaton,
             transitions: final_transitions,

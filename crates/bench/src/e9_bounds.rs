@@ -124,7 +124,9 @@ pub fn measure(target: &SweepTarget, n: usize, verify: bool) -> (SweepPoint, Dec
         None => Instance::new(&g, &ids),
     };
     let scheme = (target.build)(id_bits_for(&inst), n_actual);
-    let (asg, ledger) = locert_trace::ledger::capture(|| scheme.assign(&inst));
+    let (asg, mut captured) = locert_trace::capture(|| scheme.assign(&inst));
+    let ledger = std::mem::take(&mut captured.ledger);
+    locert_trace::absorb(captured);
     let asg = asg.unwrap_or_else(|e| {
         panic!(
             "sweep family for {} is a yes-instance at n = {n}: {e}",

@@ -145,9 +145,7 @@ pub fn exhaustive_soundness_in(
     let chunk = (total as usize / (pool.threads() * 16)).clamp(1, 64);
     let found = pool.par_find_first(total as usize, chunk, fooled);
     let checked = found.as_ref().map_or(total, |(idx, _)| *idx as u64 + 1);
-    if locert_trace::enabled() {
-        locert_trace::add("core.attacks.exhaustive.assignments", checked);
-    }
+    locert_trace::add("core.attacks.exhaustive.assignments", checked);
     match found {
         Some((_, asg)) => Err(SoundnessError::Fooled(Box::new(asg))),
         None => Ok(checked),

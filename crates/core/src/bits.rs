@@ -275,14 +275,14 @@ impl fmt::Display for Certificate {
 /// Writers double as the prover-side attribution point of the bit
 /// ledger (`locert_trace::ledger`): [`BitWriter::component`] marks the
 /// start of a named witness component, and [`BitWriter::finish_for`]
-/// hands the marks to an active ledger capture. While no capture is
-/// active anywhere, both cost one relaxed atomic load.
+/// hands the marks to this thread's capture frame. While no frame is
+/// installed on the thread, both cost one thread-local read.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
     len_bits: usize,
     /// `(component, start-bit)` attribution marks, kept only while a
-    /// ledger capture is active.
+    /// capture frame is installed on this thread.
     marks: Vec<(&'static str, usize)>,
 }
 
@@ -354,8 +354,8 @@ impl BitWriter {
 
     /// Marks the bits written from here on as belonging to the witness
     /// component `name` (until the next mark or the end). A no-op —
-    /// one relaxed atomic load — unless a `locert_trace::ledger`
-    /// capture is active.
+    /// one thread-local read — unless a `locert_trace::capture` frame is
+    /// installed on this thread.
     pub fn component(&mut self, name: &'static str) -> &mut Self {
         if locert_trace::ledger::active() {
             self.marks.push((name, self.len_bits));
@@ -371,8 +371,8 @@ impl BitWriter {
         }
     }
 
-    /// Finalizes into a [`Certificate`] and, when a ledger capture is
-    /// active on this thread, records the component attribution for
+    /// Finalizes into a [`Certificate`] and, when a capture frame is
+    /// installed on this thread, records the component attribution for
     /// `vertex` (a `NodeId` index). Every scheme prover finishes its
     /// per-vertex writers through this so captured runs yield a
     /// complete [`locert_trace::ledger::BitLedger`].
@@ -600,7 +600,7 @@ mod tests {
         let c = w.finish_for(0);
         assert_eq!(c.len_bits(), 3);
         // Inside a capture: spans tile the certificate.
-        let (cert, ledger) = locert_trace::ledger::capture(|| {
+        let (cert, captured) = locert_trace::capture(|| {
             let mut w = BitWriter::new();
             w.component("root-id");
             w.write(5, 4);
@@ -608,6 +608,7 @@ mod tests {
             w.write(2, 6);
             w.finish_for(7)
         });
+        let ledger = captured.ledger;
         assert_eq!(cert.len_bits(), 10);
         assert_eq!(ledger.certs.len(), 1);
         let entry = &ledger.certs[0];
@@ -620,9 +621,10 @@ mod tests {
 
     #[test]
     fn empty_certificate_needs_no_marks() {
-        let ((), ledger) = locert_trace::ledger::capture(|| {
+        let ((), captured) = locert_trace::capture(|| {
             let _ = BitWriter::new().finish_for(0);
         });
+        let ledger = captured.ledger;
         assert!(ledger.certs[0].fully_attributed());
         assert_eq!(ledger.certs[0].total_bits, 0);
     }
@@ -631,7 +633,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "before the first component mark")]
     fn unmarked_bits_violate_the_tiling_invariant_in_debug() {
-        let ((), _ledger) = locert_trace::ledger::capture(|| {
+        let ((), _captured) = locert_trace::capture(|| {
             let mut w = BitWriter::new();
             w.write(1, 2); // no component mark at bit 0.
             w.component("late");

@@ -435,9 +435,7 @@ pub fn run_with_faults(
     plan: &FaultPlan,
 ) -> FaultOutcome {
     let _span = locert_trace::span!("core.faults.run_with_faults");
-    if locert_trace::enabled() {
-        locert_trace::add("core.faults.injections", plan.faults().len() as u64);
-    }
+    locert_trace::add("core.faults.injections", plan.faults().len() as u64);
     let world = inject(instance, honest, plan);
     for fault in plan.faults() {
         locert_trace::journal::record_with(|| locert_trace::journal::Event::FaultInjected {
@@ -577,13 +575,14 @@ pub fn run_campaign(
     let n = instance.graph().num_nodes();
     let mut stats = CampaignStats::default();
     // Rounds are independent (each derives its plan from `base_seed + r`),
-    // so they run in parallel; every round captures its journal events
-    // locally and the flush below appends them in round order — the
-    // journal is byte-identical to a sequential sweep at any worker
-    // count. Stats merge in round order too, so tallies never depend on
-    // the schedule.
+    // so they run in parallel; while anything records, every round
+    // captures its telemetry locally and the flush below absorbs the
+    // captures in round order — the journal is byte-identical to a
+    // sequential sweep at any worker count. Stats merge in round order
+    // too, so tallies never depend on the schedule.
+    let observed = locert_trace::recording() || locert_trace::journal::enabled();
     let rounds = locert_par::global().par_map_collect(runs, |r| {
-        locert_trace::journal::capture(|| {
+        locert_trace::capture_if(observed, || {
             // The run index is deterministic (it seeds the plan), so the
             // round mark can carry it — windowing readers get numbered
             // rounds even though the rounds execute out of order.
@@ -602,8 +601,8 @@ pub fn run_campaign(
             outcome
         })
     });
-    for (outcome, events) in rounds {
-        locert_trace::journal::append_events(events);
+    for (outcome, captured) in rounds {
+        locert_trace::absorb(captured);
         if !outcome.effective {
             stats.noop_runs += 1;
             continue;
@@ -620,15 +619,13 @@ pub fn run_campaign(
             }
         }
     }
-    if locert_trace::enabled() {
-        locert_trace::add("core.faults.campaign.runs", runs as u64);
-        locert_trace::add(
-            "core.faults.campaign.effective",
-            stats.effective_runs as u64,
-        );
-        locert_trace::add("core.faults.campaign.noop", stats.noop_runs as u64);
-        locert_trace::add("core.faults.campaign.detected", stats.detected as u64);
-    }
+    locert_trace::add("core.faults.campaign.runs", runs as u64);
+    locert_trace::add(
+        "core.faults.campaign.effective",
+        stats.effective_runs as u64,
+    );
+    locert_trace::add("core.faults.campaign.noop", stats.noop_runs as u64);
+    locert_trace::add("core.faults.campaign.detected", stats.detected as u64);
     stats
 }
 

@@ -142,8 +142,9 @@ impl Assignment {
 
     /// Mutable access (for attack harnesses and fault injection). Hands
     /// the mutation to the event journal so a replay shows *which*
-    /// certificates the harness touched; with the journal disabled the
-    /// extra cost is one relaxed atomic load.
+    /// certificates the harness touched; with the journal disabled and no
+    /// capture frame the extra cost is one thread-local read and one
+    /// relaxed atomic load.
     ///
     /// # Panics
     ///
@@ -245,10 +246,8 @@ pub fn view_of<'a>(
             )
         })
         .collect();
-    if locert_trace::enabled() {
-        locert_trace::add("core.framework.view_of.calls", 1);
-        locert_trace::record("core.framework.view.neighbors", neighbors.len() as u64);
-    }
+    locert_trace::add("core.framework.view_of.calls", 1);
+    locert_trace::record("core.framework.view.neighbors", neighbors.len() as u64);
     LocalView {
         id: instance.ids().ident(v),
         input: instance.input(v),
@@ -611,7 +610,7 @@ pub fn run_verification(
     assignment: &Assignment,
 ) -> VerificationOutcome {
     let _span = locert_trace::span!("core.run_verification");
-    let handles = locert_trace::enabled().then(|| {
+    let handles = locert_trace::recording().then(|| {
         (
             locert_trace::Counter::named("core.framework.verifier.invocations"),
             locert_trace::Counter::named("core.framework.verifier.rejections"),
@@ -649,7 +648,7 @@ pub fn run_verification(
     // journal stays byte-identical to a single-threaded run. The round
     // mark carries no number — this function has no deterministic local
     // counter (a global one would record schedule order when running
-    // inside `journal::capture` on a worker thread), so windowing
+    // inside a `locert_trace::capture` on a worker thread), so windowing
     // readers assign ordinals by marker position instead.
     locert_trace::journal::record_with(|| locert_trace::journal::Event::RoundMark {
         scope: "core.verify".to_string(),
@@ -674,17 +673,15 @@ pub fn run_verification(
             bits_read,
         });
     }
-    if locert_trace::enabled() {
-        // Read amplification: certificate bits examined across all
-        // radius-1 views over bits stored, in fixed-point percent (100
-        // = every stored bit read exactly once). Each vertex's
-        // certificate is re-read once per incident edge, so this is
-        // 100·(1 + 2m/n) on certificates of uniform length. Undefined
-        // (and not recorded) for all-empty assignments.
-        let read: usize = verdicts.iter().map(|v| v.bits_read).sum();
-        if let Some(amp) = (read * 100).checked_div(assignment.total_bits()) {
-            locert_trace::record("core.framework.verify.read_amplification", amp as u64);
-        }
+    // Read amplification: certificate bits examined across all radius-1
+    // views over bits stored, in fixed-point percent (100 = every stored
+    // bit read exactly once). Each vertex's certificate is re-read once
+    // per incident edge, so this is 100·(1 + 2m/n) on certificates of
+    // uniform length. Undefined (and not recorded) for all-empty
+    // assignments.
+    let read: usize = verdicts.iter().map(|v| v.bits_read).sum();
+    if let Some(amp) = (read * 100).checked_div(assignment.total_bits()) {
+        locert_trace::record("core.framework.verify.read_amplification", amp as u64);
     }
     VerificationOutcome {
         rejecting,
@@ -716,17 +713,15 @@ pub fn run_scheme(
         max_bits: result.as_ref().map_or(0, |a| a.max_bits() as u64),
     });
     let assignment = result?;
-    if locert_trace::enabled() {
-        locert_trace::add("core.prover.assignments", 1);
-        locert_trace::record(
-            "core.framework.assignment.max_bits",
-            assignment.max_bits() as u64,
-        );
-        locert_trace::record(
-            "core.framework.assignment.total_bits",
-            assignment.total_bits() as u64,
-        );
-    }
+    locert_trace::add("core.prover.assignments", 1);
+    locert_trace::record(
+        "core.framework.assignment.max_bits",
+        assignment.max_bits() as u64,
+    );
+    locert_trace::record(
+        "core.framework.assignment.total_bits",
+        assignment.total_bits() as u64,
+    );
     Ok(run_verification(scheme, instance, &assignment))
 }
 
@@ -929,7 +924,8 @@ mod tests {
         let g = generators::cycle(5);
         let ids = IdAssignment::contiguous(5);
         let inst = Instance::new(&g, &ids);
-        let (result, ledger) = locert_trace::ledger::capture(|| run_scheme(&DegreeScheme, &inst));
+        let (result, captured) = locert_trace::capture(|| run_scheme(&DegreeScheme, &inst));
+        let ledger = captured.ledger;
         assert!(result.unwrap().accepted());
         assert!(ledger.fully_attributed());
         let finals = ledger.final_certs();
@@ -943,18 +939,15 @@ mod tests {
 
     #[test]
     fn read_amplification_histogram_records_under_tracing() {
-        // Serialized against other trace-global tests via the registry
-        // lock inside locert-trace; use a throwaway metric window.
+        // A capture frame is a private metric window: no global switch,
+        // so sibling tests cannot interleave.
         let g = generators::cycle(6);
         let ids = IdAssignment::contiguous(6);
         let inst = Instance::new(&g, &ids);
         let asg = DegreeScheme.assign(&inst).unwrap();
-        locert_trace::enable();
-        locert_trace::reset();
-        let out = run_verification(&DegreeScheme, &inst, &asg);
-        locert_trace::disable();
-        let snap = locert_trace::snapshot();
-        locert_trace::reset();
+        let (out, captured) =
+            locert_trace::capture(|| run_verification(&DegreeScheme, &inst, &asg));
+        let snap = captured.metrics.snapshot();
         assert!(out.accepted());
         let hist = &snap.histograms["core.framework.verify.read_amplification"];
         assert_eq!(hist.count, 1);
@@ -963,12 +956,9 @@ mod tests {
         assert_eq!(hist.min, Some(300));
         assert_eq!(hist.max, Some(300));
         // All-empty assignments record nothing (the ratio is undefined).
-        locert_trace::enable();
-        locert_trace::reset();
-        let _ = run_verification(&DegreeScheme, &inst, &Assignment::empty(6));
-        locert_trace::disable();
-        let snap = locert_trace::snapshot();
-        locert_trace::reset();
+        let (_, captured) =
+            locert_trace::capture(|| run_verification(&DegreeScheme, &inst, &Assignment::empty(6)));
+        let snap = captured.metrics.snapshot();
         assert!(!snap
             .histograms
             .contains_key("core.framework.verify.read_amplification"));

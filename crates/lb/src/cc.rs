@@ -37,16 +37,13 @@ pub fn exists_accepting_certificate(
 ) -> Option<Vec<bool>> {
     let m = p.certificate_bits();
     assert!(m < 63, "certificate space too large to enumerate");
-    if locert_trace::enabled() {
-        let mut tried = 0u64;
-        let found = all_strings(m).find(|cert| {
-            tried += 1;
-            p.alice(s_a, cert) && p.bob(s_b, cert)
-        });
-        locert_trace::add("lb.cc.certs_tried", tried);
-        return found;
-    }
-    all_strings(m).find(|cert| p.alice(s_a, cert) && p.bob(s_b, cert))
+    let mut tried = 0u64;
+    let found = all_strings(m).find(|cert| {
+        tried += 1;
+        p.alice(s_a, cert) && p.bob(s_b, cert)
+    });
+    locert_trace::add("lb.cc.certs_tried", tried);
+    found
 }
 
 /// Exhaustively checks that `p` decides EQUALITY on length-`ℓ` inputs.
@@ -74,9 +71,7 @@ pub fn fooling_attack(p: &impl Protocol, l: usize) -> Option<(Vec<bool>, Vec<boo
     let _span = locert_trace::span!("lb.cc.fooling_attack");
     let mut by_cert: HashMap<Vec<bool>, Vec<bool>> = HashMap::new();
     for s in all_strings(l) {
-        if locert_trace::enabled() {
-            locert_trace::add("lb.cc.pairs_examined", 1);
-        }
+        locert_trace::add("lb.cc.pairs_examined", 1);
         let cert = exists_accepting_certificate(p, &s, &s)?;
         if let Some(prev) = by_cert.get(&cert) {
             // Two distinct strings share an accepting certificate: the

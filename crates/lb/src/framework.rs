@@ -161,10 +161,8 @@ impl<'v, F: GadgetFamily> ExtractedProtocol<'v, F> {
         };
         let chunk = (total / (locert_par::global().threads() * 16)).clamp(1, 64);
         let found = locert_par::global().par_find_first(total, chunk, accepting);
-        if locert_trace::enabled() {
-            let enumerated = found.map_or(total, |(idx, ())| idx + 1);
-            locert_trace::add("lb.framework.labelings_enumerated", enumerated as u64);
-        }
+        let enumerated = found.map_or(total, |(idx, ())| idx + 1);
+        locert_trace::add("lb.framework.labelings_enumerated", enumerated as u64);
         found.is_some()
     }
 }

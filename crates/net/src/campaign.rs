@@ -355,13 +355,15 @@ pub fn run_net_campaign(cfg: &CampaignConfig) -> Vec<CampaignRow> {
         .collect();
     let (points, runs) = (grid.len(), cfg.runs_per_point);
     let tasks = targets.len() * points * runs;
-    // One task per (target, point, run); each captures its journal
-    // locally, the flush below appends in task order.
+    // One task per (target, point, run); while anything records, each
+    // captures its telemetry locally and the flush below absorbs the
+    // captures in task order.
+    let observed = locert_trace::recording() || locert_trace::journal::enabled();
     let results = locert_par::global().par_map_collect(tasks, |k| {
         let ti = k / (points * runs);
         let pi = (k / runs) % points;
         let run = k % runs;
-        journal::capture(|| {
+        locert_trace::capture_if(observed, || {
             journal::record_with(|| Event::Marker {
                 label: format!("net:{}:{}:{run}", targets[ti].name, grid[pi].name),
             });
@@ -397,8 +399,8 @@ pub fn run_net_campaign(cfg: &CampaignConfig) -> Vec<CampaignRow> {
             });
         }
     }
-    for (k, (outcome, events)) in results.into_iter().enumerate() {
-        journal::append_events(events);
+    for (k, (outcome, captured)) in results.into_iter().enumerate() {
+        locert_trace::absorb(captured);
         let ti = k / (points * runs);
         let pi = (k / runs) % points;
         let row = &mut rows[ti * points + pi];
@@ -418,10 +420,8 @@ pub fn run_net_campaign(cfg: &CampaignConfig) -> Vec<CampaignRow> {
         row.retries += outcome.retries;
         row.quiescence_sum += outcome.quiescence_time;
     }
-    if locert_trace::enabled() {
-        locert_trace::add("net.campaign.rows", rows.len() as u64);
-        locert_trace::add("net.campaign.tasks", tasks as u64);
-    }
+    locert_trace::add("net.campaign.rows", rows.len() as u64);
+    locert_trace::add("net.campaign.tasks", tasks as u64);
     rows
 }
 

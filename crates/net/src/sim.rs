@@ -906,20 +906,18 @@ pub fn run_network(
         });
     }
     let stats: Vec<NodeStats> = sim.nodes.iter().map(|node| node.stats).collect();
-    if locert_trace::enabled() {
-        locert_trace::add("net.sim.runs", 1);
-        locert_trace::add("net.sim.messages", sim.messages);
-        locert_trace::add("net.sim.drops", sim.drops);
-        locert_trace::add("net.sim.retries", sim.retries);
-        locert_trace::add("net.sim.crashes", sim.crashes);
-        locert_trace::add(
-            "net.sim.bits_sent",
-            stats.iter().map(|s| s.bits_sent).sum::<u64>(),
-        );
-        locert_trace::record("net.sim.quiescence_time", quiescence_time);
-        for s in &stats {
-            locert_trace::record("net.sim.time_to_verdict", s.time_to_verdict);
-        }
+    locert_trace::add("net.sim.runs", 1);
+    locert_trace::add("net.sim.messages", sim.messages);
+    locert_trace::add("net.sim.drops", sim.drops);
+    locert_trace::add("net.sim.retries", sim.retries);
+    locert_trace::add("net.sim.crashes", sim.crashes);
+    locert_trace::add(
+        "net.sim.bits_sent",
+        stats.iter().map(|s| s.bits_sent).sum::<u64>(),
+    );
+    locert_trace::record("net.sim.quiescence_time", quiescence_time);
+    for s in &stats {
+        locert_trace::record("net.sim.time_to_verdict", s.time_to_verdict);
     }
     NetOutcome {
         verdicts,

@@ -13,7 +13,6 @@ use locert_core::framework::Instance;
 use locert_graph::IdAssignment;
 use locert_net::catalogue::catalogue;
 use locert_oracle::harness;
-use locert_trace::ledger;
 use proptest::prelude::*;
 
 /// One tiling pass over (scheme, family graph) pairs whose prover
@@ -34,7 +33,8 @@ fn tiling(seed: u64) -> usize {
                 Some(_) => Instance::with_inputs(graph, &ids, &zeros),
                 None => Instance::new(graph, &ids),
             };
-            let (result, led) = ledger::capture(|| target.scheme.assign(&instance));
+            let (result, captured) = locert_trace::capture(|| target.scheme.assign(&instance));
+            let led = captured.ledger;
             // Out-of-domain graphs and no-instances are refused; the
             // tiling claim is only about honest assignments.
             let Ok(asg) = result else {

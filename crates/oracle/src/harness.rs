@@ -107,9 +107,7 @@ fn push(out: &mut Vec<Disagreement>, case: &OracleCase, relation: &str, g: &Grap
         relation: relation.to_string(),
         vertices: g.num_nodes() as u64,
     });
-    if locert_trace::enabled() {
-        locert_trace::add("oracle.harness.disagreements", 1);
-    }
+    locert_trace::add("oracle.harness.disagreements", 1);
     out.push(Disagreement {
         case: case.name.to_string(),
         relation: relation.to_string(),
@@ -132,9 +130,7 @@ pub fn check_case_on_graph(
     let ids = IdAssignment::contiguous(g.num_nodes());
     let truth = (case.truth)(g);
     let decision = decision_of(scheme.as_ref(), g, &ids);
-    if locert_trace::enabled() {
-        locert_trace::add("oracle.harness.checks", 1);
-    }
+    locert_trace::add("oracle.harness.checks", 1);
     if decision == Decision::HonestRejected {
         push(
             &mut out,
@@ -191,9 +187,7 @@ pub fn check_case_on_graph(
             relation: d.relation.clone(),
             vertices: d.graph.num_nodes() as u64,
         });
-        if locert_trace::enabled() {
-            locert_trace::add("oracle.harness.disagreements", 1);
-        }
+        locert_trace::add("oracle.harness.disagreements", 1);
         out.push(d);
     }
     out
@@ -270,9 +264,7 @@ pub fn run_oracle(
     let mut seen = std::collections::BTreeSet::new();
     let mut disagreements = Vec::new();
     for (gi, g) in graphs.iter().enumerate() {
-        if locert_trace::enabled() {
-            locert_trace::add("oracle.harness.graphs", 1);
-        }
+        locert_trace::add("oracle.harness.graphs", 1);
         let graph_seed = split_seed(seed, gi as u64);
         for (ci, case) in cases.iter().enumerate() {
             if (case.truth)(g).is_some() {

@@ -356,20 +356,14 @@ mod tests {
 
     #[test]
     fn export_roundtrips_through_json() {
-        let _g = crate::tests::serial();
-        crate::disable();
-        crate::reset();
-        crate::enable();
-        {
+        let ((), captured) = crate::capture(|| {
             let _s = crate::span!("export.test.outer");
             let _i = crate::span!("export.test.inner");
             crate::add("export.test.counter", 41);
             crate::record("export.test.histogram", 12);
             crate::record("export.test.histogram", 3);
-        }
-        crate::disable();
-        let snap = crate::snapshot();
-        crate::reset();
+        });
+        let snap = captured.metrics.snapshot();
 
         let text = snapshot_json_string(&snap);
         let parsed = json::parse(&text).expect("export parses back");
@@ -406,18 +400,12 @@ mod tests {
 
     #[test]
     fn markdown_mentions_every_section() {
-        let _g = crate::tests::serial();
-        crate::disable();
-        crate::reset();
-        crate::enable();
-        {
+        let ((), captured) = crate::capture(|| {
             let _s = crate::span!("md.test.span");
             crate::add("md.test.counter", 1);
             crate::record("md.test.histogram", 2);
-        }
-        crate::disable();
-        let snap = crate::snapshot();
-        crate::reset();
+        });
+        let snap = captured.metrics.snapshot();
         let md = snapshot_markdown(&snap);
         assert!(md.contains("md.test.span"));
         assert!(md.contains("md.test.counter"));
@@ -427,17 +415,11 @@ mod tests {
 
     #[test]
     fn chrome_trace_synthesizes_a_nested_timeline() {
-        let _g = crate::tests::serial();
-        crate::disable();
-        crate::reset();
-        crate::enable();
-        {
+        let ((), captured) = crate::capture(|| {
             let _s = crate::span!("chrome.test.outer");
             let _i = crate::span!("chrome.test.inner");
-        }
-        crate::disable();
-        let snap = crate::snapshot();
-        crate::reset();
+        });
+        let snap = captured.metrics.snapshot();
 
         let text = chrome_trace_string(&[("e1", &snap)]);
         let parsed = json::parse(&text).expect("valid JSON");

@@ -8,13 +8,14 @@
 //! timestamps**, so a run with a fixed seed produces a byte-identical
 //! JSONL export: the journal is the replay artifact.
 //!
-//! The journal is independent of the span subscriber: it has its own
+//! The ring is independent of the span subscriber: it has its own
 //! enable flag so `experiments --journal` can record events without
-//! paying for span aggregation (and vice versa). Like every other
+//! paying for span aggregation (and vice versa); a [`crate::capture`]
+//! frame takes events whatever the flag says. Like every other
 //! instrumentation point in this crate, a disabled journal costs one
-//! relaxed atomic load per call site — [`record_with`] takes a closure
-//! so event construction (and its allocations) is skipped entirely when
-//! recording is off.
+//! thread-local read and one relaxed atomic load per call site —
+//! [`record_with`] takes a closure so event construction (and its
+//! allocations) is skipped entirely when nothing records.
 //!
 //! Event payloads are plain `u64`/`String` values rather than types from
 //! `locert-core`: the trace crate sits below core in the dependency
@@ -22,11 +23,10 @@
 //! anyway. Core's `RejectReason::code()` is the bridge.
 
 use crate::json::{self, Value};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Schema identifier written in the JSONL header line.
 pub const JOURNAL_SCHEMA: &str = "locert-journal/v1";
@@ -41,11 +41,6 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// truncation: a metrics snapshot with this counter non-zero means the
 /// journal on disk is missing its oldest events.
 pub const DROPPED_EVENTS_COUNTER: &str = "journal.dropped_events";
-
-fn dropped_events_counter() -> &'static crate::Counter {
-    static C: OnceLock<crate::Counter> = OnceLock::new();
-    C.get_or_init(|| crate::Counter::named(DROPPED_EVENTS_COUNTER))
-}
 
 /// One journal event. Variants mirror the phases of a certification
 /// run; reasons are kebab-case codes (see `locert-core`'s
@@ -277,17 +272,12 @@ struct Buf {
     dropped: u64,
 }
 
-fn buf() -> &'static Mutex<Buf> {
-    static BUF: OnceLock<Mutex<Buf>> = OnceLock::new();
-    BUF.get_or_init(|| {
-        Mutex::new(Buf {
-            entries: VecDeque::new(),
-            capacity: DEFAULT_CAPACITY,
-            next_seq: 0,
-            dropped: 0,
-        })
-    })
-}
+static BUF: Mutex<Buf> = Mutex::new(Buf {
+    entries: VecDeque::new(),
+    capacity: DEFAULT_CAPACITY,
+    next_seq: 0,
+    dropped: 0,
+});
 
 /// Turns journal recording on.
 pub fn enable() {
@@ -312,7 +302,7 @@ pub fn enabled() -> bool {
 pub fn set_capacity(capacity: usize) {
     let evicted;
     {
-        let mut b = buf().lock().expect("journal buffer");
+        let mut b = BUF.lock().expect("journal buffer");
         b.capacity = capacity.max(1);
         let before = b.entries.len();
         while b.entries.len() > b.capacity {
@@ -321,64 +311,45 @@ pub fn set_capacity(capacity: usize) {
         }
         evicted = (before - b.entries.len()) as u64;
     }
-    if evicted > 0 {
-        dropped_events_counter().add(evicted);
-    }
+    crate::add(DROPPED_EVENTS_COUNTER, evicted);
 }
 
 /// The current ring-buffer capacity in entries.
 pub fn capacity() -> usize {
-    buf().lock().expect("journal buffer").capacity
+    BUF.lock().expect("journal buffer").capacity
 }
 
 /// Clears all entries and restarts sequence numbering.
 pub fn reset() {
-    let mut b = buf().lock().expect("journal buffer");
+    let mut b = BUF.lock().expect("journal buffer");
     b.entries.clear();
     b.next_seq = 0;
     b.dropped = 0;
 }
 
-thread_local! {
-    /// Active [`capture`] buffer for this thread, if any. A stack via
-    /// the saved outer value in `capture` itself, so captures nest.
-    static CAPTURE: RefCell<Option<Vec<Event>>> = const { RefCell::new(None) };
-}
-
-/// Records the event produced by `make` — *if* the journal is enabled.
-/// When disabled this is exactly one relaxed atomic load; the closure
-/// is never called, so callers may capture freely and build strings
-/// inside it without a disabled-path cost.
-///
-/// Inside a [`capture`] on this thread, the event is diverted to the
-/// capture buffer instead of the global ring.
+/// Records the event produced by `make` into this thread's capture
+/// frame ([`crate::capture`]) if one is installed, else into the ring if
+/// the journal is enabled. With neither, this is one thread-local read
+/// and one relaxed atomic load; the closure is never called, so callers
+/// may capture freely and build strings inside it without a
+/// disabled-path cost.
 #[inline]
 pub fn record_with(make: impl FnOnce() -> Event) {
-    if !enabled() {
-        return;
+    if crate::capturing() {
+        let event = make();
+        crate::with_frame(|frame| frame.journal.push(event));
+    } else if enabled() {
+        append(make());
     }
-    let event = make();
-    let diverted = CAPTURE.with(|c| {
-        let mut c = c.borrow_mut();
-        match c.as_mut() {
-            Some(buffer) => {
-                buffer.push(event.clone());
-                true
-            }
-            None => false,
-        }
-    });
-    if diverted {
-        return;
-    }
-    append_one(event);
 }
 
-fn append_one(event: Event) {
+/// Appends one event to the ring, assigning its sequence number, and
+/// publishes it to live subscribers.
+pub(crate) fn append(event: Event) {
     // Load the subscriber flag before taking the buffer lock so the
     // common no-subscriber case never clones the event.
     let live = stream::active();
-    let mut b = buf().lock().expect("journal buffer");
+    let mut b = BUF.lock().expect("journal buffer");
     let seq = b.next_seq;
     b.next_seq += 1;
     let mut evicted = false;
@@ -394,60 +365,16 @@ fn append_one(event: Event) {
     // Outside the buffer lock: the registry and subscriber locks must
     // never nest inside it (and vice versa).
     if evicted {
-        dropped_events_counter().add(1);
+        crate::add(DROPPED_EVENTS_COUNTER, 1);
     }
     if let Some(entry) = published {
         stream::publish(&entry);
     }
 }
 
-/// Runs `f` with this thread's journal writes diverted into a private
-/// buffer, returning `f`'s result together with the captured events (in
-/// the order they were recorded). Nothing reaches the global ring until
-/// the caller hands the buffer to [`append_events`].
-///
-/// This is the determinism seam for parallel work: tasks that may run
-/// in any order and on any thread capture their events locally, and the
-/// coordinator appends the buffers in a canonical order — the resulting
-/// journal is byte-identical to a sequential run. When the journal is
-/// disabled `f` runs unwrapped and the returned buffer is empty.
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-    if !enabled() {
-        return (f(), Vec::new());
-    }
-    /// Restores the outer buffer even if `f` unwinds, so a panicking
-    /// task on a long-lived worker thread can't leave the diversion
-    /// installed (captured events are dropped with the panic).
-    struct Restore(Option<Vec<Event>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let outer = self.0.take();
-            CAPTURE.with(|c| *c.borrow_mut() = outer);
-        }
-    }
-    let mut guard = Restore(CAPTURE.with(|c| c.borrow_mut().replace(Vec::new())));
-    let result = f();
-    let events = CAPTURE
-        .with(|c| std::mem::replace(&mut *c.borrow_mut(), guard.0.take()))
-        .unwrap_or_default();
-    std::mem::forget(guard);
-    (result, events)
-}
-
-/// Appends pre-recorded events to the journal in order, assigning
-/// sequence numbers at append time. The flush half of [`capture`].
-pub fn append_events(events: impl IntoIterator<Item = Event>) {
-    if !enabled() {
-        return;
-    }
-    for event in events {
-        append_one(event);
-    }
-}
-
 /// Copies the current contents out of the ring buffer.
 pub fn snapshot() -> JournalSnapshot {
-    let b = buf().lock().expect("journal buffer");
+    let b = BUF.lock().expect("journal buffer");
     JournalSnapshot {
         entries: b.entries.iter().cloned().collect(),
         dropped: b.dropped,
@@ -910,7 +837,7 @@ pub fn from_jsonl(text: &str) -> Result<JournalSnapshot, JournalParseError> {
 // ---------------------------------------------------------------------
 
 /// Live journal tailing: bounded per-subscriber queues fed from
-/// [`append_one`], so a long-running process (the `/journal/tail` HTTP
+/// [`append`], so a long-running process (the `/journal/tail` HTTP
 /// endpoint, a future `locert-serve` daemon) can watch events as they
 /// happen without holding the ring-buffer lock or growing without
 /// bound.
@@ -927,10 +854,10 @@ pub fn from_jsonl(text: &str) -> Result<JournalSnapshot, JournalParseError> {
 ///    ([`Subscription::dropped`]), mirroring the ring buffer's
 ///    drop-oldest policy. Publishing only ever takes short
 ///    uncontended-in-practice mutexes.
-/// 3. **Subscribers see the post-flush order.** Events diverted by
-///    [`capture`] reach subscribers when the coordinator flushes them
-///    via [`append_events`], in canonical order with their final `seq`
-///    — a tailer observes the same sequence a snapshot would.
+/// 3. **Subscribers see the post-flush order.** Events recorded inside a
+///    [`crate::capture`] reach subscribers when the coordinator flushes
+///    them via [`crate::absorb`], in canonical order with their final
+///    `seq` — a tailer observes the same sequence a snapshot would.
 pub mod stream {
     use super::Entry;
     use std::collections::VecDeque;
@@ -968,7 +895,7 @@ pub mod stream {
     }
 
     /// Fans one appended entry out to every live subscriber. Called by
-    /// [`super::append_one`] *after* releasing the ring-buffer lock.
+    /// [`super::append`] *after* releasing the ring-buffer lock.
     pub(super) fn publish(entry: &Entry) {
         let subs = subscribers().lock().expect("journal subscribers");
         for weak in subs.iter() {
@@ -1241,60 +1168,59 @@ mod tests {
         );
     }
 
-    #[test]
-    fn capture_diverts_and_append_flushes_in_order() {
-        let _g = crate::tests::serial();
-        reset();
-        enable();
-        record_with(|| Event::Marker { label: "a".into() });
-        let ((), captured) = capture(|| {
-            record_with(|| Event::CertMutated { vertex: 1 });
-            record_with(|| Event::CertMutated { vertex: 2 });
-        });
-        assert_eq!(captured.len(), 2);
-        // Nothing reached the ring yet.
-        assert_eq!(snapshot().entries.len(), 1);
-        record_with(|| Event::Marker { label: "b".into() });
-        append_events(captured);
-        disable();
-        let snap = snapshot();
-        reset();
-        let kinds: Vec<u64> = snap
-            .entries
+    /// The labels of the marker events in `events`, in order.
+    fn labels(events: &[Event]) -> Vec<&str> {
+        events
             .iter()
-            .filter_map(|e| match &e.event {
+            .filter_map(|e| match e {
+                Event::Marker { label } => Some(label.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn capture_diverts_and_absorb_flushes_in_order() {
+        // The enclosing frame plays the ring's part: a private view.
+        let ((), outer) = crate::capture(|| {
+            record_with(|| Event::Marker { label: "a".into() });
+            let ((), captured) = crate::capture(|| {
+                record_with(|| Event::CertMutated { vertex: 1 });
+                record_with(|| Event::CertMutated { vertex: 2 });
+            });
+            assert_eq!(captured.journal.len(), 2);
+            record_with(|| Event::Marker { label: "b".into() });
+            crate::absorb(captured);
+        });
+        let kinds: Vec<u64> = outer
+            .journal
+            .iter()
+            .filter_map(|e| match e {
                 Event::CertMutated { vertex } => Some(*vertex),
                 _ => None,
             })
             .collect();
         assert_eq!(kinds, vec![1, 2]);
-        assert_eq!(snap.entries.len(), 4);
-        // Seqs are assigned at flush time, monotone over the whole ring.
-        assert!(snap.entries.windows(2).all(|w| w[0].seq < w[1].seq));
-        // A panicking capture restores the outer (global) sink.
-        enable();
-        let _ = std::panic::catch_unwind(|| {
-            capture(|| {
-                record_with(|| Event::Marker {
-                    label: "doomed".into(),
-                });
-                panic!("boom");
-            })
+        assert_eq!(outer.journal.len(), 4);
+        // Nothing reached the enclosing frame before the flush: "b",
+        // recorded after the capture, precedes its events.
+        assert_eq!(outer.journal[1], Event::Marker { label: "b".into() });
+        // A panicking capture restores the outer sink.
+        let ((), outer) = crate::capture(|| {
+            let _ = std::panic::catch_unwind(|| {
+                crate::capture(|| {
+                    record_with(|| Event::Marker {
+                        label: "doomed".into(),
+                    });
+                    panic!("boom");
+                })
+            });
+            record_with(|| Event::Marker {
+                label: "after".into(),
+            });
         });
-        record_with(|| Event::Marker {
-            label: "after".into(),
-        });
-        disable();
-        let snap = snapshot();
-        reset();
-        assert!(snap
-            .entries
-            .iter()
-            .any(|e| matches!(&e.event, Event::Marker { label } if label == "after")));
-        assert!(!snap
-            .entries
-            .iter()
-            .any(|e| matches!(&e.event, Event::Marker { label } if label == "doomed")));
+        assert!(labels(&outer.journal).contains(&"after"));
+        assert!(!labels(&outer.journal).contains(&"doomed"));
     }
 
     #[test]
@@ -1326,14 +1252,20 @@ mod tests {
         // Seq numbers are the ring's, assigned at append time.
         assert_eq!(snapshot().entries.len(), 6);
         // Captured events reach subscribers at flush, in flush order.
-        let ((), captured) = capture(|| {
+        let ((), captured) = crate::capture(|| {
             record_with(|| Event::CertMutated { vertex: 100 });
         });
         assert!(sub.is_empty(), "capture diverts away from subscribers");
-        append_events(captured);
+        assert_eq!(snapshot().entries.len(), 6, "nothing reached the ring yet");
+        record_with(|| Event::Marker { label: "b".into() });
+        crate::absorb(captured);
         let flushed = sub.drain();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].event, Event::CertMutated { vertex: 100 });
+        assert_eq!(flushed.len(), 2);
+        assert_eq!(flushed[1].event, Event::CertMutated { vertex: 100 });
+        // Seqs are assigned at flush time, monotone over the whole ring.
+        assert_eq!(flushed[1].seq, 7);
+        let snap = snapshot();
+        assert!(snap.entries.windows(2).all(|w| w[0].seq < w[1].seq));
         // recv_timeout returns a queued entry immediately and times out
         // on an empty queue.
         record_with(|| Event::Marker { label: "w".into() });

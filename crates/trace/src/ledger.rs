@@ -4,39 +4,38 @@
 //! Certificate size is the paper's central measure, and the schemes'
 //! upper bounds are proved component by component — a spanning-tree
 //! pointer here, a distance counter there, an automaton state, a kernel
-//! table. The ledger makes that decomposition observable: while a
-//! [`capture`] is active, every prover records, for each certificate it
+//! table. The ledger makes that decomposition observable: inside a
+//! [`crate::capture`], every prover records, for each certificate it
 //! finalizes, the spans of bits it attributed to named components (via
-//! `BitWriter::component` in `locert-core`). Spans are derived from
-//! consecutive component marks, so they tile the certificate by
-//! construction — start to finish, no gaps, no overlaps — and a
-//! debug-mode invariant on the prover side insists the first mark sits
-//! at bit 0, i.e. that *every* bit is attributed.
+//! `BitWriter::component` in `locert-core`) into the frame's
+//! [`crate::Captured::ledger`]. Spans are derived from consecutive
+//! component marks, so they tile the certificate by construction — start
+//! to finish, no gaps, no overlaps — and a debug-mode invariant on the
+//! prover side insists the first mark sits at bit 0, i.e. that *every*
+//! bit is attributed.
 //!
-//! Mirrors the [`crate::journal`] capture seam: a global activity count
-//! gates the instrumentation points (one relaxed atomic load while no
-//! capture is active anywhere), and records divert into a thread-local
-//! sink so concurrent captures on different threads cannot mix.
+//! Ledger records exist only inside capture frames: [`active`] — the
+//! gate of every attribution point — is "a frame is installed on this
+//! thread", so provers on other threads never keep marks on a
+//! capture's behalf, and there is no process-wide ledger.
 //!
 //! # Example
 //!
 //! ```
 //! use locert_trace::ledger::{self, CertLedger};
 //!
-//! let ((), ledger) = ledger::capture(|| {
+//! let ((), captured) = locert_trace::capture(|| {
 //!     // A prover would do this through BitWriter::component /
 //!     // BitWriter::finish_for; the raw call records vertex 0 with a
 //!     // 5-bit "root-id" span followed by a 3-bit "distance" span.
 //!     ledger::record_cert(0, 8, &[("root-id", 0), ("distance", 5)]);
 //! });
-//! let cert = &ledger.certs[0];
+//! let cert = &captured.ledger.certs[0];
 //! assert!(cert.is_tiled() && cert.fully_attributed());
 //! assert_eq!(cert.component_bits()["distance"], 3);
 //! ```
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The pseudo-component charged with bits written before the first
 /// component mark. A fully instrumented prover never produces it; the
@@ -133,8 +132,8 @@ impl CertLedger {
     }
 }
 
-/// Everything one [`capture`] saw: the attribution of every certificate
-/// finalized during the capture, in finish order.
+/// Everything one [`crate::capture`] saw: the attribution of every
+/// certificate finalized during the capture, in finish order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitLedger {
     /// Per-certificate records, in the order the provers finished them.
@@ -195,69 +194,21 @@ impl BitLedger {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Capture machinery
-// ---------------------------------------------------------------------------
-
-/// Number of captures active across all threads. Non-zero tells
-/// `BitWriter` instances to keep component marks at all; the
-/// thread-local sink then decides whether a finalized certificate is
-/// actually recorded (only on the capturing thread).
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's capture sink, if a capture is running on it.
-    static SINK: RefCell<Option<Vec<CertLedger>>> = const { RefCell::new(None) };
-}
-
-/// Whether any capture is active anywhere (one relaxed atomic load —
-/// the whole cost of a disabled attribution point).
+/// Whether a capture frame is installed on this thread — the whole cost
+/// of a disabled attribution point is this one thread-local read.
 #[inline]
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    crate::capturing()
 }
 
-/// Records the attribution of a finalized certificate — if a capture is
-/// active *on this thread*. Called by `BitWriter::finish_for`; other
-/// threads' prover runs are ignored, so concurrent captures cannot mix.
+/// Records the attribution of a finalized certificate into this
+/// thread's capture frame, if one is installed. Called by
+/// `BitWriter::finish_for`.
 pub fn record_cert(vertex: usize, total_bits: usize, marks: &[(&'static str, usize)]) {
-    if !active() {
-        return;
-    }
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow_mut().as_mut() {
-            sink.push(CertLedger::from_marks(vertex, total_bits, marks));
-        }
+    crate::with_frame(|frame| {
+        let cert = CertLedger::from_marks(vertex, total_bits, marks);
+        frame.ledger.certs.push(cert);
     });
-}
-
-/// Runs `f` with bit-ledger recording active on this thread and returns
-/// its result together with everything the provers attributed. Captures
-/// nest (the outer sink is saved and restored, even on unwind); a
-/// nested capture's records do not reach the outer one.
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, BitLedger) {
-    struct Restore(Option<Vec<CertLedger>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let outer = self.0.take();
-            SINK.with(|s| *s.borrow_mut() = outer);
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
-    let mut guard = Restore(SINK.with(|s| s.borrow_mut().replace(Vec::new())));
-    let result = f();
-    let certs = SINK
-        .with(|s| std::mem::replace(&mut *s.borrow_mut(), guard.0.take()))
-        .unwrap_or_default();
-    // The outer sink is already back in place; running the guard's Drop
-    // now would overwrite it with the `None` we just took out, losing a
-    // nesting capture's records. Forget it and decrement ACTIVE by hand
-    // (the Drop path still restores correctly on unwind, where the swap
-    // above never ran).
-    std::mem::forget(guard);
-    ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    (result, BitLedger { certs })
 }
 
 #[cfg(test)]
@@ -301,10 +252,16 @@ mod tests {
         assert!(e.spans.is_empty());
     }
 
+    /// The bit ledger of one capture.
+    fn ledger_of<R>(f: impl FnOnce() -> R) -> (R, BitLedger) {
+        let (result, captured) = crate::capture(f);
+        (result, captured.ledger)
+    }
+
     #[test]
     fn capture_collects_and_deactivates() {
         assert!(!active());
-        let (value, ledger) = capture(|| {
+        let (value, ledger) = ledger_of(|| {
             assert!(active());
             record_cert(0, 4, &[("x", 0)]);
             record_cert(1, 2, &[("y", 0)]);
@@ -317,14 +274,14 @@ mod tests {
         assert!(!active());
         // Records outside a capture go nowhere.
         record_cert(9, 8, &[("z", 0)]);
-        let ((), empty) = capture(|| {});
+        let ((), empty) = ledger_of(|| {});
         assert!(empty.certs.is_empty());
         assert!(!empty.fully_attributed(), "empty ledger attests nothing");
     }
 
     #[test]
     fn last_record_per_vertex_wins() {
-        let ((), ledger) = capture(|| {
+        let ((), ledger) = ledger_of(|| {
             // An inner prover writes vertex 0 first (e.g. a combinator's
             // first operand), then the composite writes the real cert.
             record_cert(0, 3, &[("inner", 0)]);
@@ -340,9 +297,9 @@ mod tests {
 
     #[test]
     fn captures_nest_without_leaking() {
-        let ((), outer) = capture(|| {
+        let ((), outer) = ledger_of(|| {
             record_cert(0, 2, &[("outer", 0)]);
-            let ((), inner) = capture(|| {
+            let ((), inner) = ledger_of(|| {
                 record_cert(5, 7, &[("inner", 0)]);
             });
             assert_eq!(inner.certs.len(), 1);

@@ -18,10 +18,15 @@
 //!   reader/writer ([`json`]) since the workspace is offline and
 //!   serde-free.
 //!
-//! Everything is gated on a global subscriber flag ([`enable`]): while
-//! disabled — the default — every instrumentation point is a single
-//! relaxed atomic load and **nothing is recorded**, so instrumented hot
-//! paths cost nothing measurable in ordinary builds and benches.
+//! Instrumentation on a thread with a capture frame installed
+//! ([`capture`]) records into that private frame, whatever the global
+//! switches say; this is also how bit ledgers are captured, and
+//! [`absorb`] flushes a frame onward. Otherwise metrics go to the
+//! process-wide registry while the global subscriber is on ([`enable`]).
+//! With no frame and the subscriber off — the default — every
+//! instrumentation point is one thread-local read plus one relaxed
+//! atomic load and **nothing is recorded**, so instrumented hot paths
+//! cost nothing measurable in ordinary builds and benches.
 //!
 //! Metric names follow the workspace convention `layer.component.metric`
 //! (e.g. `core.framework.verifier.invocations`,
@@ -30,19 +35,18 @@
 //! # Example
 //!
 //! ```
-//! locert_trace::enable();
-//! {
+//! let ((), captured) = locert_trace::capture(|| {
 //!     let _outer = locert_trace::span!("example.outer");
 //!     for _ in 0..3 {
 //!         let _inner = locert_trace::span!("example.inner");
 //!         locert_trace::add("example.work.items", 2);
 //!         locert_trace::record("example.work.size", 17);
 //!     }
-//! }
-//! let snap = locert_trace::snapshot();
+//! });
+//! let snap = captured.metrics.snapshot();
 //! assert_eq!(snap.counters["example.work.items"], 6);
-//! locert_trace::disable();
-//! locert_trace::reset();
+//! // Nothing reached the (disabled) process-wide registry.
+//! assert!(!locert_trace::snapshot().counters.contains_key("example.work.items"));
 //! ```
 
 pub mod export;
@@ -53,7 +57,7 @@ pub mod ledger;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -80,24 +84,84 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Whether metrics recorded on this thread are kept: a capture frame is
+/// installed, or the global subscriber is on.
+#[inline]
+pub fn recording() -> bool {
+    capturing() || enabled()
+}
+
 // ---------------------------------------------------------------------------
 // Registry: counters + histograms + span forest
 // ---------------------------------------------------------------------------
 
-struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
+/// Named counters and histograms plus the aggregated span forest: the
+/// process-wide sink ([`snapshot`]) and every capture frame's metrics.
+#[derive(Debug, Default)]
+pub struct Registry {
+    counters: Cells<AtomicU64>,
+    histograms: Cells<HistogramCells>,
     /// Aggregated span forest, merged in as outermost spans close.
-    roots: Mutex<BTreeMap<&'static str, AggNode>>,
+    roots: BTreeMap<&'static str, AggNode>,
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        counters: Mutex::new(BTreeMap::new()),
-        histograms: Mutex::new(BTreeMap::new()),
-        roots: Mutex::new(BTreeMap::new()),
-    })
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    counters: BTreeMap::new(),
+    histograms: BTreeMap::new(),
+    roots: BTreeMap::new(),
+});
+
+fn global() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().expect("metrics registry")
+}
+
+type Cells<T> = BTreeMap<Arc<str>, Arc<T>>;
+
+/// Looks up `name` in `cells`, registering a fresh cell on first use.
+fn cell<'a, T>(cells: &'a mut Cells<T>, name: &str, fresh: impl FnOnce() -> T) -> &'a Arc<T> {
+    if !cells.contains_key(name) {
+        cells.insert(Arc::from(name), Arc::new(fresh()));
+    }
+    &cells[name]
+}
+
+impl Registry {
+    fn add(&mut self, name: &str, v: u64) {
+        cell(&mut self.counters, name, || AtomicU64::new(0)).fetch_add(v, Ordering::Relaxed);
+    }
+
+    fn record(&mut self, name: &str, v: u64) {
+        cell(&mut self.histograms, name, HistogramCells::new).record(v);
+    }
+
+    /// Adds `other` into this registry; its root spans go under `open`
+    /// (the absorbing thread's innermost open span) if there is one.
+    fn merge(&mut self, other: Registry, open: Option<&mut ActiveSpan>) {
+        for (name, c) in other.counters {
+            self.add(&name, c.load(Ordering::SeqCst));
+        }
+        for (name, h) in other.histograms {
+            cell(&mut self.histograms, &name, HistogramCells::new).merge(&h);
+        }
+        let roots = open.map_or(&mut self.roots, |p| &mut p.children);
+        merge_forest(roots, other.roots);
+    }
+
+    /// Copies the registry's state out (see [`Snapshot`]).
+    pub fn snapshot(&self) -> Snapshot {
+        let counters = self.counters.iter();
+        let histograms = self.histograms.iter();
+        Snapshot {
+            counters: counters
+                .map(|(name, c)| (name.to_string(), c.load(Ordering::SeqCst)))
+                .filter(|&(_, v)| v > 0)
+                .collect(),
+            histograms: histograms
+                .filter_map(|(name, h)| Some((name.to_string(), h.snapshot()?)))
+                .collect(),
+            spans: to_span_nodes(&self.roots),
+        }
+    }
 }
 
 /// Zeroes every registered counter and histogram and clears the recorded
@@ -105,59 +169,168 @@ fn registry() -> &'static Registry {
 /// handles) stay valid. Call between measurement units (e.g. between
 /// experiments) with no spans open.
 pub fn reset() {
-    let reg = registry();
-    for c in reg.counters.lock().expect("counter registry").values() {
+    let mut reg = global();
+    for c in reg.counters.values() {
         c.store(0, Ordering::SeqCst);
     }
-    for h in reg.histograms.lock().expect("histogram registry").values() {
+    for h in reg.histograms.values() {
         h.reset();
     }
-    reg.roots.lock().expect("span forest").clear();
+    reg.roots.clear();
+}
+
+// ---------------------------------------------------------------------------
+// Capture frames
+// ---------------------------------------------------------------------------
+
+/// Everything one [`capture`] recorded on its thread.
+#[derive(Debug, Default)]
+pub struct Captured {
+    /// Counters, histograms and spans.
+    pub metrics: Registry,
+    /// Journal events in record order (numbered when they reach the ring).
+    pub journal: Vec<journal::Event>,
+    /// The attribution of every certificate finalized, in finish order.
+    pub ledger: ledger::BitLedger,
+}
+
+/// This thread's telemetry state: the installed capture frame, if any,
+/// and the stack of open spans (each frame starts its own).
+#[derive(Default)]
+struct Local {
+    frame: Option<Captured>,
+    stack: Vec<ActiveSpan>,
+}
+
+impl Local {
+    /// Merges a closed span (or a mark) under the innermost open span,
+    /// else at the roots of the frame or of the process-wide registry.
+    fn close(&mut self, name: &'static str, node: AggNode) {
+        match (self.stack.last_mut(), &mut self.frame) {
+            (Some(parent), _) => merge_node(&mut parent.children, name, node),
+            (None, Some(frame)) => merge_node(&mut frame.metrics.roots, name, node),
+            (None, None) => merge_node(&mut global().roots, name, node),
+        }
+    }
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            frame: None,
+            stack: Vec::new(),
+        })
+    };
+}
+
+#[inline]
+fn capturing() -> bool {
+    LOCAL.with(|l| l.borrow().frame.is_some())
+}
+
+/// Runs `f` on this thread's capture frame; `false` if there is none.
+#[inline]
+fn with_frame(f: impl FnOnce(&mut Captured)) -> bool {
+    LOCAL.with(|l| l.borrow_mut().frame.as_mut().map(f).is_some())
+}
+
+/// Runs `f` with a fresh capture frame installed on this thread and
+/// returns its result with everything recorded meanwhile. Frames nest:
+/// the outer frame and span stack are set aside and reinstalled when
+/// `f` returns or unwinds. Other threads, pool workers included, do not
+/// see the frame. Hand what the caller does not consume to [`absorb`].
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Captured) {
+    struct Restore(Local);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LOCAL.with(|l| l.replace(std::mem::take(&mut self.0)));
+        }
+    }
+    let restore = Restore(LOCAL.with(RefCell::take));
+    LOCAL.with(|l| l.borrow_mut().frame = Some(Captured::default()));
+    let result = f();
+    let captured = LOCAL.with(|l| l.borrow_mut().frame.take());
+    drop(restore);
+    (result, captured.expect("capture frame stays installed"))
+}
+
+/// [`capture`] when `on`, else `f` with an empty [`Captured`]. Parallel
+/// seams decide `on` on the submitting thread: workers inherit no frame.
+pub fn capture_if<R>(on: bool, f: impl FnOnce() -> R) -> (R, Captured) {
+    if on {
+        capture(f)
+    } else {
+        (f(), Captured::default())
+    }
+}
+
+/// The flush half of [`capture`]: replays `captured` into this thread's
+/// frame, or with none into the process-wide registry (if [`enabled`])
+/// and journal ring (if `journal::enabled`), under the innermost open
+/// span. Absorbing task captures in task order hides the schedule.
+pub fn absorb(captured: Captured) {
+    let to_ring = LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let Local { frame, stack } = &mut *l;
+        let Some(frame) = frame else {
+            if enabled() {
+                global().merge(captured.metrics, stack.last_mut());
+            }
+            return captured.journal;
+        };
+        frame.metrics.merge(captured.metrics, stack.last_mut());
+        frame.journal.extend(captured.journal);
+        frame.ledger.certs.extend(captured.ledger.certs);
+        Vec::new()
+    });
+    // Outside the thread-local borrow: appending may bump a counter.
+    if journal::enabled() {
+        to_ring.into_iter().for_each(journal::append);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Counters
 // ---------------------------------------------------------------------------
 
-/// A handle to a named monotone counter. Cloning is cheap; increments are
-/// atomic and may come from any thread. Increments are dropped while the
-/// subscriber is [`disable`]d.
+/// A handle to a named monotone counter in the process-wide registry.
+/// Cloning is cheap; increments are atomic and may come from any thread,
+/// go to that thread's capture frame if any, and are otherwise dropped
+/// while the subscriber is [`disable`]d.
 #[derive(Clone)]
 pub struct Counter {
+    name: Arc<str>,
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
     /// Registers (or looks up) the counter `name`.
     pub fn named(name: &str) -> Counter {
-        let mut map = registry().counters.lock().expect("counter registry");
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Counter { cell }
+        let cell = cell(&mut global().counters, name, || AtomicU64::new(0)).clone();
+        let name = name.into();
+        Counter { name, cell }
     }
 
-    /// Adds `v` (a no-op while the subscriber is disabled).
+    /// Adds `v`.
     #[inline]
     pub fn add(&self, v: u64) {
-        if enabled() {
+        if !with_frame(|f| f.metrics.add(&self.name, v)) && enabled() {
             self.cell.fetch_add(v, Ordering::Relaxed);
         }
     }
 
-    /// The current value.
+    /// The current process-wide value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::SeqCst)
     }
 }
 
-/// Convenience: `Counter::named(name).add(v)`, gated on [`enabled`] before
-/// touching the registry lock.
+/// Convenience: `Counter::named(name).add(v)`, gated before touching the
+/// registry lock.
 #[inline]
 pub fn add(name: &str, v: u64) {
-    if enabled() {
-        Counter::named(name).add(v);
+    if !with_frame(|f| f.metrics.add(name, v)) && enabled() {
+        global().add(name, v);
     }
 }
 
@@ -193,6 +366,7 @@ pub fn bucket_le(i: usize) -> u64 {
     }
 }
 
+#[derive(Debug)]
 struct HistogramCells {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
@@ -229,41 +403,73 @@ impl HistogramCells {
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
+
+    fn merge(&self, other: &HistogramCells) {
+        let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
+        for (b, o) in self.buckets.iter().zip(&other.buckets) {
+            b.fetch_add(load(o), Ordering::Relaxed);
+        }
+        self.count.fetch_add(load(&other.count), Ordering::Relaxed);
+        self.sum.fetch_add(load(&other.sum), Ordering::Relaxed);
+        self.min.fetch_min(load(&other.min), Ordering::Relaxed);
+        self.max.fetch_max(load(&other.max), Ordering::Relaxed);
+    }
+
+    /// The histogram's state; `None` when it holds no observation.
+    fn snapshot(&self) -> Option<HistogramSnapshot> {
+        let count = self.count.load(Ordering::SeqCst);
+        if count == 0 {
+            return None;
+        }
+        let buckets = (0..NUM_BUCKETS)
+            .filter_map(|i| {
+                let c = self.buckets[i].load(Ordering::SeqCst);
+                (c > 0).then(|| (bucket_le(i), c))
+            })
+            .collect();
+        Some(HistogramSnapshot {
+            count,
+            sum: self.sum.load(Ordering::SeqCst),
+            min: Some(self.min.load(Ordering::SeqCst)),
+            max: Some(self.max.load(Ordering::SeqCst)),
+            buckets,
+        })
+    }
 }
 
 /// A handle to a named fixed-bucket histogram (power-of-two buckets, see
-/// [`bucket_index`]). Cloning is cheap; recording is atomic and lock-free.
+/// [`bucket_index`]) in the process-wide registry. Cloning is cheap;
+/// recording is atomic and lock-free, and goes where a [`Counter`]'s
+/// increments go.
 #[derive(Clone)]
 pub struct Histogram {
+    name: Arc<str>,
     cells: Arc<HistogramCells>,
 }
 
 impl Histogram {
     /// Registers (or looks up) the histogram `name`.
     pub fn named(name: &str) -> Histogram {
-        let mut map = registry().histograms.lock().expect("histogram registry");
-        let cells = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCells::new()))
-            .clone();
-        Histogram { cells }
+        let cells = cell(&mut global().histograms, name, HistogramCells::new).clone();
+        let name = name.into();
+        Histogram { name, cells }
     }
 
-    /// Records one observation (a no-op while the subscriber is disabled).
+    /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        if enabled() {
+        if !with_frame(|f| f.metrics.record(&self.name, v)) && enabled() {
             self.cells.record(v);
         }
     }
 }
 
-/// Convenience: `Histogram::named(name).record(v)`, gated on [`enabled`]
-/// before touching the registry lock.
+/// Convenience: `Histogram::named(name).record(v)`, gated before
+/// touching the registry lock.
 #[inline]
 pub fn record(name: &str, v: u64) {
-    if enabled() {
-        Histogram::named(name).record(v);
+    if !with_frame(|f| f.metrics.record(name, v)) && enabled() {
+        global().record(name, v);
     }
 }
 
@@ -311,9 +517,17 @@ impl AggNode {
     fn merge(&mut self, other: AggNode) {
         self.calls += other.calls;
         self.total_ns += other.total_ns;
-        for (name, child) in other.children {
-            self.children.entry(name).or_default().merge(child);
-        }
+        merge_forest(&mut self.children, other.children);
+    }
+}
+
+fn merge_node(into: &mut BTreeMap<&'static str, AggNode>, name: &'static str, node: AggNode) {
+    into.entry(name).or_default().merge(node);
+}
+
+fn merge_forest(into: &mut BTreeMap<&'static str, AggNode>, from: BTreeMap<&'static str, AggNode>) {
+    for (name, node) in from {
+        merge_node(into, name, node);
     }
 }
 
@@ -348,13 +562,9 @@ struct ActiveSpan {
     children: BTreeMap<&'static str, AggNode>,
 }
 
-thread_local! {
-    static STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
-}
-
 /// RAII guard for one span entry; created by [`span`]/[`span!`]. Guards
 /// must be dropped in LIFO order on the thread that created them (plain
-/// lexical scoping guarantees this). While the subscriber is disabled the
+/// lexical scoping guarantees this). While nothing is [`recording`] the
 /// guard is disarmed and records nothing.
 #[must_use = "a span records on drop; binding it to `_` closes it immediately"]
 pub struct Span {
@@ -363,17 +573,19 @@ pub struct Span {
 
 /// Enters a span named `name`. Prefer the [`span!`] macro.
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span { armed: false };
-    }
-    STACK.with(|s| {
-        s.borrow_mut().push(ActiveSpan {
-            name,
-            start: Instant::now(),
-            children: BTreeMap::new(),
-        });
+    let armed = LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let armed = l.frame.is_some() || enabled();
+        if armed {
+            l.stack.push(ActiveSpan {
+                name,
+                start: Instant::now(),
+                children: BTreeMap::new(),
+            });
+        }
+        armed
     });
-    Span { armed: true }
+    Span { armed }
 }
 
 impl Drop for Span {
@@ -381,57 +593,37 @@ impl Drop for Span {
         if !self.armed {
             return;
         }
-        let finished = STACK.with(|s| s.borrow_mut().pop());
-        let Some(active) = finished else { return };
-        let node = AggNode {
-            calls: 1,
-            total_ns: active.start.elapsed().as_nanos() as u64,
-            children: active.children,
-        };
-        let merged_into_parent = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(parent) = stack.last_mut() {
-                parent
-                    .children
-                    .entry(active.name)
-                    .or_default()
-                    .merge(node.clone());
-                true
-            } else {
-                false
-            }
+        LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            let Some(active) = l.stack.pop() else { return };
+            let node = AggNode {
+                calls: 1,
+                total_ns: active.start.elapsed().as_nanos() as u64,
+                children: active.children,
+            };
+            l.close(active.name, node);
         });
-        if !merged_into_parent {
-            let mut roots = registry().roots.lock().expect("span forest");
-            roots.entry(active.name).or_default().merge(node);
-        }
     }
 }
 
 /// Records a zero-duration mark under the current span (or at the root
 /// when no span is open). Prefer the [`event!`] macro.
 pub fn event(name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let recorded = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(top) = stack.last_mut() {
-            let node = top.children.entry(name).or_default();
-            node.calls += 1;
-            true
-        } else {
-            false
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        if l.frame.is_some() || enabled() {
+            let mark = AggNode {
+                calls: 1,
+                ..AggNode::default()
+            };
+            l.close(name, mark);
         }
     });
-    if !recorded {
-        let mut roots = registry().roots.lock().expect("span forest");
-        roots.entry(name).or_default().calls += 1;
-    }
 }
 
 /// Enters a hierarchical span: `let _guard = span!("layer.component.op");`.
-/// Compiles to one relaxed atomic load when the subscriber is disabled.
+/// Compiles to one thread-local read and one relaxed atomic load when
+/// nothing is recording.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -452,9 +644,10 @@ macro_rules! event {
 // Snapshot
 // ---------------------------------------------------------------------------
 
-/// A point-in-time copy of the whole registry: counters, histograms, and
-/// the aggregated span forest. Take one with [`snapshot`] after the spans
-/// of interest have closed.
+/// A point-in-time copy of a registry: counters, histograms, and the
+/// aggregated span forest. Take one with [`snapshot`] (or
+/// [`Registry::snapshot`] on a capture) after the spans of interest have
+/// closed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter name → value. Zero-valued counters are omitted.
@@ -465,59 +658,18 @@ pub struct Snapshot {
     pub spans: Vec<SpanNode>,
 }
 
-/// Copies the current registry state out (see [`Snapshot`]).
+/// Copies the process-wide registry's state out (see [`Snapshot`]).
 pub fn snapshot() -> Snapshot {
-    let reg = registry();
-    let counters = reg
-        .counters
-        .lock()
-        .expect("counter registry")
-        .iter()
-        .map(|(name, cell)| (name.clone(), cell.load(Ordering::SeqCst)))
-        .filter(|&(_, v)| v > 0)
-        .collect();
-    let histograms = reg
-        .histograms
-        .lock()
-        .expect("histogram registry")
-        .iter()
-        .filter_map(|(name, cells)| {
-            let count = cells.count.load(Ordering::SeqCst);
-            if count == 0 {
-                return None;
-            }
-            let buckets = (0..NUM_BUCKETS)
-                .filter_map(|i| {
-                    let c = cells.buckets[i].load(Ordering::SeqCst);
-                    (c > 0).then(|| (bucket_le(i), c))
-                })
-                .collect();
-            Some((
-                name.clone(),
-                HistogramSnapshot {
-                    count,
-                    sum: cells.sum.load(Ordering::SeqCst),
-                    min: Some(cells.min.load(Ordering::SeqCst)),
-                    max: Some(cells.max.load(Ordering::SeqCst)),
-                    buckets,
-                },
-            ))
-        })
-        .collect();
-    let spans = to_span_nodes(&reg.roots.lock().expect("span forest"));
-    Snapshot {
-        counters,
-        histograms,
-        spans,
-    }
+    global().snapshot()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Global-state tests must not interleave: the registry and the
-    /// subscriber flag are process-wide.
+    /// Tests of the process-wide sinks themselves (the registry, the
+    /// journal ring, their switches) must not interleave. Tests that only
+    /// need a private view use [`capture`] instead.
     pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -582,17 +734,14 @@ mod tests {
 
     #[test]
     fn spans_nest_and_aggregate() {
-        let _g = fresh();
-        enable();
-        {
+        let ((), captured) = capture(|| {
             let _outer = span!("test.outer");
             for _ in 0..3 {
                 let _inner = span!("test.inner");
                 event!("test.tick");
             }
-        }
-        disable();
-        let snap = snapshot();
+        });
+        let snap = captured.metrics.snapshot();
         let outer = snap
             .spans
             .iter()
@@ -612,7 +761,6 @@ mod tests {
             .expect("event nested under inner");
         assert_eq!(tick.calls, 3);
         assert_eq!(tick.total_ns, 0);
-        reset();
     }
 
     #[test]
@@ -678,21 +826,19 @@ mod tests {
 
     #[test]
     fn histogram_stats_track_min_max_sum() {
-        let _g = fresh();
-        enable();
-        let h = Histogram::named("test.stats.histogram");
-        for v in [5u64, 0, 17, 3] {
-            h.record(v);
-        }
-        disable();
-        let snap = snapshot();
+        let ((), captured) = capture(|| {
+            let h = Histogram::named("test.stats.histogram");
+            for v in [5u64, 0, 17, 3] {
+                h.record(v);
+            }
+        });
+        let snap = captured.metrics.snapshot();
         let s = &snap.histograms["test.stats.histogram"];
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 25);
         assert_eq!(s.min, Some(0));
         assert_eq!(s.max, Some(17));
         assert_eq!(s.mean(), Some(6.25));
-        reset();
     }
 
     #[test]

@@ -46,10 +46,8 @@ pub fn cop_number(g: &Graph) -> usize {
         .map(|c| value(g, c, &mut memo))
         .max()
         .unwrap_or(0);
-    if locert_trace::enabled() {
-        locert_trace::add("treedepth.cops.games_solved", 1);
-        locert_trace::add("treedepth.cops.territories_evaluated", memo.len() as u64);
-    }
+    locert_trace::add("treedepth.cops.games_solved", 1);
+    locert_trace::add("treedepth.cops.territories_evaluated", memo.len() as u64);
     k
 }
 
@@ -247,9 +245,7 @@ where
     let mut memo = HashMap::new();
     let mut game = Game::new(g, start);
     loop {
-        if locert_trace::enabled() {
-            locert_trace::add("treedepth.cops.moves_played", 1);
-        }
+        locert_trace::add("treedepth.cops.moves_played", 1);
         let territory = game.territory();
         // Optimal announcement: vertex minimizing 1 + max component value.
         let mut best_v = None;

@@ -146,12 +146,10 @@ impl<'g> Solver<'g> {
     /// Publishes the solver-local search statistics to the global metrics
     /// registry (no-op when tracing is disabled).
     fn flush_stats(&self) {
-        if locert_trace::enabled() {
-            locert_trace::add("treedepth.exact.branches", self.branches);
-            locert_trace::add("treedepth.exact.prunes", self.prunes);
-            locert_trace::add("treedepth.exact.memo_hits", self.memo_hits);
-            locert_trace::add("treedepth.exact.memo_entries", self.memo.len() as u64);
-        }
+        locert_trace::add("treedepth.exact.branches", self.branches);
+        locert_trace::add("treedepth.exact.prunes", self.prunes);
+        locert_trace::add("treedepth.exact.memo_hits", self.memo_hits);
+        locert_trace::add("treedepth.exact.memo_entries", self.memo.len() as u64);
     }
 
     /// Connected components of the sub-vertex-set `mask`, as masks.

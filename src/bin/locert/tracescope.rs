@@ -220,7 +220,9 @@ fn cmd_serve(run: &mut Run) -> Outcome {
             );
         }
         locert_trace::add(journal::DROPPED_EVENTS_COUNTER, snap.dropped);
-        journal::append_events(snap.entries.into_iter().map(|e| e.event));
+        for entry in snap.entries {
+            journal::record_with(|| entry.event);
+        }
         eprintln!("replayed {path}");
     } else {
         journal::enable();

@@ -1,15 +1,18 @@
-//! Asserts the journal's disabled fast path is allocation-free.
+//! Asserts the disabled telemetry fast paths are allocation-free.
 //!
 //! Journal instrumentation sits on hot paths (`run_verification`,
 //! `Assignment::cert_mut`, the fault campaigns), so when no `--journal`
-//! flag enabled it, recording must cost one relaxed atomic load and
-//! nothing else — in particular, the event-constructing closure passed
-//! to `record_with` must never run. A counting global allocator makes
-//! that claim checkable: with the journal disabled, a burst of
-//! `record_with` calls and instrumented `cert_mut` calls performs zero
-//! allocations — even with the live-tailing stream sink compiled in and
-//! a subscriber registered, since publication sits behind the same
-//! enabled gate.
+//! flag enabled it and no capture frame is installed, recording must
+//! cost one thread-local read and one relaxed atomic load and nothing
+//! else — in particular, the event-constructing closure passed to
+//! `record_with` must never run. A counting global allocator makes that
+//! claim checkable: with the journal disabled, a burst of `record_with`
+//! calls and instrumented `cert_mut` calls performs zero allocations —
+//! even with the live-tailing stream sink compiled in and a subscriber
+//! registered, since publication sits behind the same enabled gate. The
+//! same holds for the metrics points (`add`, `record`, `span!`,
+//! `event!`) with the subscriber off, and for the bit-ledger points
+//! (`ledger::record_cert`, `BitWriter::component`) with no frame.
 //!
 //! This lives in its own integration-test binary because the
 //! `#[global_allocator]` is process-wide; keeping a single `#[test]`
@@ -20,6 +23,7 @@
 //! the measured window. The code under test runs only on the calling
 //! thread, so a per-thread count still checks the whole claim.
 
+use locert_core::bits::BitWriter;
 use locert_core::framework::{Instance, Prover};
 use locert_core::schemes::spanning_tree::VertexCountScheme;
 use locert_graph::{generators, IdAssignment};
@@ -64,8 +68,12 @@ fn disabled_journal_fast_path_does_not_allocate() {
     let mut assignment = scheme.assign(&instance).expect("honest prover");
     let vertices: Vec<_> = instance.graph().nodes().collect();
 
+    let mut writer = BitWriter::new();
+    writer.write(1, 3);
+
     locert_trace::journal::disable();
     assert!(!locert_trace::journal::enabled());
+    assert!(!locert_trace::recording(), "no frame, subscriber off");
 
     // A live streaming subscriber must not change the disabled cost:
     // the subscription check sits behind the same enabled gate, so a
@@ -97,13 +105,25 @@ fn disabled_journal_fast_path_does_not_allocate() {
         }
     }
 
+    // The metrics and bit-ledger points, with no frame installed and the
+    // subscriber off.
+    for i in 0..10_000u64 {
+        locert_trace::add("no_alloc.counter", i);
+        locert_trace::record("no_alloc.histogram", i);
+        let _span = locert_trace::span!("no_alloc.span");
+        locert_trace::event!("no_alloc.event");
+        locert_trace::ledger::record_cert(0, 3, &[("no-alloc", 0)]);
+        writer.component("no-alloc");
+    }
+
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "disabled journal path allocated {} times (with a live subscriber registered)",
+        "disabled telemetry paths allocated {} times (with a live subscriber registered)",
         after - before
     );
+    assert_eq!(writer.finish().len_bits(), 3);
     assert!(
         subscription.is_empty(),
         "a disabled journal must not publish to subscribers"
@@ -130,4 +150,11 @@ fn disabled_journal_fast_path_does_not_allocate() {
     drop(subscription);
     locert_trace::journal::disable();
     locert_trace::journal::reset();
+
+    // Likewise, a capture frame makes the metrics points record (and so
+    // allocate).
+    let before_frame = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((), captured) = locert_trace::capture(|| locert_trace::add("no_alloc.counter", 1));
+    assert!(ALLOCATIONS.load(Ordering::SeqCst) > before_frame);
+    assert_eq!(captured.metrics.snapshot().counters["no_alloc.counter"], 1);
 }

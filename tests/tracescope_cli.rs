@@ -34,25 +34,27 @@ fn scratch(name: &str) -> PathBuf {
     common::scratch_dir("tracescope-cli").join(name)
 }
 
-/// A small real campaign journal, written to disk via the streaming
-/// writer (the same path `locert experiments --journal` takes). The journal is
-/// process-global state and the harness runs tests in parallel, so
-/// generation is serialized.
+/// A small real campaign journal, written to disk via the JSONL writer
+/// (the format `locert experiments --journal` streams). The campaign runs
+/// inside a capture frame, so tests generating journals in parallel
+/// never share a ring.
 fn write_campaign_journal(name: &str) -> PathBuf {
-    static JOURNAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = JOURNAL.lock().expect("journal generation lock");
-    journal::reset();
-    journal::enable();
     let n = 8usize;
     let g = generators::path(n);
     let ids = IdAssignment::contiguous(n);
     let inst = Instance::new(&g, &ids);
     let scheme = VertexCountScheme::new(6, n as u64);
     let honest = scheme.assign(&inst).expect("yes-instance");
-    run_campaign(&scheme, &inst, &honest, FaultModel::BitFlip, 8, 0x5c09e);
-    journal::disable();
-    let snap = journal::snapshot();
-    journal::reset();
+    let (_, captured) = locert_trace::capture(|| {
+        run_campaign(&scheme, &inst, &honest, FaultModel::BitFlip, 8, 0x5c09e)
+    });
+    let entries = (0..).zip(captured.journal);
+    let snap = journal::JournalSnapshot {
+        entries: entries
+            .map(|(seq, event)| journal::Entry { seq, event })
+            .collect(),
+        dropped: 0,
+    };
     let path = scratch(name);
     let mut file = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
     journal::write_jsonl(&snap, &mut file).expect("write journal");

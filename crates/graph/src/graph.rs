@@ -5,9 +5,14 @@
 //! [`NodeId`] in `0..n`. Construction goes through [`GraphBuilder`], which
 //! validates edges, or through the convenience constructor
 //! [`Graph::from_edges`].
+//!
+//! The builder keeps a flat edge list and lays out the CSR arrays once,
+//! in `build()`: a degree count, a prefix sum, a scatter of both
+//! orientations of every edge, then an in-place sort and dedup of each
+//! adjacency slice: `O(n + m log Δ)` and no allocation per edge,
+//! whatever the edge order or the number of duplicates.
 
 use crate::node::NodeId;
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -94,7 +99,9 @@ impl Graph {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
+        let edges = edges.into_iter();
         let mut b = GraphBuilder::new(n);
+        b.edges.reserve(edges.size_hint().0);
         for (u, v) in edges {
             b.add_edge(u, v)?;
         }
@@ -171,8 +178,9 @@ impl Graph {
     /// sorted order of `keep`; the returned vector maps each new [`NodeId`]
     /// to its original one.
     pub fn induced_subgraph(&self, keep: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let sorted: BTreeSet<NodeId> = keep.iter().copied().collect();
-        let old_of_new: Vec<NodeId> = sorted.iter().copied().collect();
+        let mut old_of_new = keep.to_vec();
+        old_of_new.sort_unstable();
+        old_of_new.dedup();
         let mut new_of_old = vec![usize::MAX; self.num_nodes()];
         for (new, &old) in old_of_new.iter().enumerate() {
             new_of_old[old.0] = new;
@@ -180,7 +188,7 @@ impl Graph {
         let mut b = GraphBuilder::new(old_of_new.len());
         for &old_u in &old_of_new {
             for &old_v in self.neighbors(old_u) {
-                if old_u < old_v && sorted.contains(&old_v) {
+                if old_u < old_v && new_of_old[old_v.0] != usize::MAX {
                     b.add_edge(new_of_old[old_u.0], new_of_old[old_v.0])
                         .expect("induced edges are valid by construction");
                 }
@@ -225,6 +233,10 @@ impl Graph {
 
 /// Incremental, validating builder for [`Graph`].
 ///
+/// Edges are validated as they arrive and kept as a flat list;
+/// duplicates and both orientations of an edge are merged by
+/// [`GraphBuilder::build`].
+///
 /// # Example
 ///
 /// ```
@@ -239,29 +251,32 @@ impl Graph {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    adj: Vec<BTreeSet<NodeId>>,
+    n: usize,
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
     /// Starts a builder for a graph on `n` vertices.
     pub fn new(n: usize) -> Self {
         GraphBuilder {
-            adj: vec![BTreeSet::new(); n],
+            n,
+            edges: Vec::new(),
         }
     }
 
     /// Number of vertices of the graph under construction.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Adds the undirected edge `{u, v}`. Adding an existing edge is a no-op.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
+    /// Returns [`GraphError::NodeOutOfRange`] (for `u` before `v`) or
+    /// [`GraphError::SelfLoop`].
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<&mut Self, GraphError> {
-        let n = self.adj.len();
+        let n = self.n;
         if u >= n {
             return Err(GraphError::NodeOutOfRange { node: u, n });
         }
@@ -271,31 +286,60 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        self.adj[u].insert(NodeId(v));
-        self.adj[v].insert(NodeId(u));
+        self.edges.push((NodeId(u), NodeId(v)));
         Ok(self)
     }
 
     /// Appends a fresh isolated vertex and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(BTreeSet::new());
-        NodeId(self.adj.len() - 1)
+        self.n += 1;
+        NodeId(self.n - 1)
     }
 
-    /// Finalizes the graph, flattening the per-vertex sets into CSR form.
+    /// Finalizes the graph: counting-sort the edge list into CSR form,
+    /// then sort and dedup each adjacency slice in place.
     pub fn build(self) -> Graph {
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        offsets.push(0);
-        let total: usize = self.adj.iter().map(BTreeSet::len).sum();
-        let mut neighbors = Vec::with_capacity(total);
-        for s in self.adj {
-            neighbors.extend(s);
-            offsets.push(neighbors.len());
+        let n = self.n;
+        // offsets[v + 1] = degree of v with multiplicity, then prefix sums.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &self.edges {
+            offsets[u.0 + 1] += 1;
+            offsets[v.0 + 1] += 1;
         }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut neighbors = vec![NodeId(0); offsets[n]];
+        for &(u, v) in &self.edges {
+            neighbors[fill[u.0]] = v;
+            fill[u.0] += 1;
+            neighbors[fill[v.0]] = u;
+            fill[v.0] += 1;
+        }
+        // Sort each slice and compact its distinct entries leftwards;
+        // `kept` never passes the slice being read, so one array serves.
+        let mut kept = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = offsets[v + 1];
+            neighbors[start..end].sort_unstable();
+            offsets[v] = kept;
+            for i in start..end {
+                if i == start || neighbors[i] != neighbors[i - 1] {
+                    neighbors[kept] = neighbors[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = kept;
+        neighbors.truncate(kept);
+        neighbors.shrink_to_fit();
         Graph {
             offsets,
             neighbors,
-            num_edges: total / 2,
+            num_edges: kept / 2,
         }
     }
 }

@@ -4,8 +4,8 @@
 //! *"What can be certified compactly?"* (Bousquet–Feuilloley–Pierron,
 //! PODC 2022) relies on:
 //!
-//! - [`Graph`]: simple, undirected, loopless graphs with an adjacency-list
-//!   representation and a validating [`GraphBuilder`];
+//! - [`Graph`]: simple, undirected, loopless graphs in CSR form, built
+//!   by counting sort from a validating [`GraphBuilder`];
 //! - [`RootedTree`]: rooted trees extracted from tree-shaped graphs, with
 //!   depth bookkeeping;
 //! - canonical forms ([`canon`]): AHU codes, rooted/unrooted tree

@@ -8,13 +8,17 @@
 //! would disagree somewhere. On top of that, BFS orders, `digest()`,
 //! and `.graph` text round-trips must all be stable under a rebuild —
 //! those are the observations the certification stack actually makes.
+//!
+//! The builder itself is checked against the same model on raw edge
+//! lists (duplicates, both orientations, isolated and late-added
+//! vertices), and on which error the first bad edge raises.
 
 use locert_graph::digest::digest;
 use locert_graph::io::{parse_edge_list, to_edge_list};
-use locert_graph::{generators, traversal, Graph, GraphBuilder, NodeId};
+use locert_graph::{generators, traversal, Graph, GraphBuilder, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Every generator family at a size steered by `seed`.
@@ -86,6 +90,85 @@ fn csr_bfs(g: &Graph, source: NodeId) -> Vec<usize> {
     order
 }
 
+/// One builder call in a raw construction script.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Edge(usize, usize),
+    Node,
+}
+
+/// A seeded raw script: valid edges with repeats in either orientation,
+/// `add_node` calls interleaved, and some vertices left isolated.
+fn raw_script(seed: u64) -> (usize, Vec<Op>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut n = rng.random_range(0..12usize);
+    let start = n;
+    let mut ops = Vec::new();
+    let mut added: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..rng.random_range(0..60usize) {
+        let roll = rng.random_range(0..10u32);
+        if roll == 0 || n < 2 {
+            ops.push(Op::Node);
+            n += 1;
+        } else if roll <= 3 && !added.is_empty() {
+            let (u, v) = added[rng.random_range(0..added.len())];
+            ops.push(if rng.random_bool(0.5) {
+                Op::Edge(v, u)
+            } else {
+                Op::Edge(u, v)
+            });
+        } else {
+            let u = rng.random_range(0..n);
+            let v = (u + rng.random_range(1..n)) % n;
+            added.push((u, v));
+            ops.push(Op::Edge(u, v));
+        }
+    }
+    (start, ops)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn builder_matches_adjacency_sets_on_raw_edge_lists(seed in 0u64..1 << 16) {
+        let (start, ops) = raw_script(seed);
+        let mut b = GraphBuilder::new(start);
+        let mut sets = vec![BTreeSet::new(); start];
+        for &op in &ops {
+            match op {
+                Op::Edge(u, v) => {
+                    b.add_edge(u, v).unwrap();
+                    sets[u].insert(v);
+                    sets[v].insert(u);
+                }
+                Op::Node => {
+                    prop_assert_eq!(b.add_node(), NodeId(sets.len()));
+                    sets.push(BTreeSet::new());
+                }
+            }
+        }
+        prop_assert_eq!(b.num_nodes(), sets.len());
+        let g = b.build();
+        prop_assert_eq!(g.num_nodes(), sets.len());
+        for v in g.nodes() {
+            let want: Vec<NodeId> = sets[v.0].iter().map(|&u| NodeId(u)).collect();
+            prop_assert_eq!(g.neighbors(v), &want[..], "neighbors of {:?}", v);
+        }
+        let m = sets.iter().map(BTreeSet::len).sum::<usize>() / 2;
+        prop_assert_eq!(g.num_edges(), m);
+        // The reference graph from the canonical (sorted, duplicate-free,
+        // u < v) edge list must hash the same.
+        let canonical = sets
+            .iter()
+            .enumerate()
+            .flat_map(|(u, s)| s.range(u + 1..).map(move |&v| (u, v)));
+        let reference = Graph::from_edges(sets.len(), canonical).unwrap();
+        prop_assert_eq!(&g, &reference);
+        prop_assert_eq!(digest(&g), digest(&reference));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -150,4 +233,67 @@ proptest! {
             prop_assert_eq!(digest(&parsed), digest(&g), "{}: io digest drift", name);
         }
     }
+}
+
+#[test]
+fn endpoint_range_is_checked_u_first_then_v() {
+    let mut b = GraphBuilder::new(3);
+    assert_eq!(
+        b.add_edge(5, 7).unwrap_err(),
+        GraphError::NodeOutOfRange { node: 5, n: 3 }
+    );
+    assert_eq!(
+        b.add_edge(1, 7).unwrap_err(),
+        GraphError::NodeOutOfRange { node: 7, n: 3 }
+    );
+    assert_eq!(
+        b.add_edge(4, 1).unwrap_err(),
+        GraphError::NodeOutOfRange { node: 4, n: 3 }
+    );
+    // A failed call adds nothing.
+    assert_eq!(b.build(), Graph::empty(3));
+}
+
+#[test]
+fn self_loop_is_checked_after_the_range_checks() {
+    let mut b = GraphBuilder::new(3);
+    assert_eq!(
+        b.add_edge(4, 4).unwrap_err(),
+        GraphError::NodeOutOfRange { node: 4, n: 3 }
+    );
+    assert_eq!(
+        b.add_edge(2, 2).unwrap_err(),
+        GraphError::SelfLoop { node: 2 }
+    );
+    // The range is the current vertex count, grown by `add_node`.
+    b.add_node();
+    assert_eq!(
+        b.add_edge(3, 3).unwrap_err(),
+        GraphError::SelfLoop { node: 3 }
+    );
+    assert_eq!(
+        b.add_edge(0, 4).unwrap_err(),
+        GraphError::NodeOutOfRange { node: 4, n: 4 }
+    );
+}
+
+#[test]
+fn first_bad_edge_in_iteration_order_decides_the_error() {
+    assert_eq!(
+        Graph::from_edges(3, [(0, 1), (2, 2), (0, 9), (8, 8)]),
+        Err(GraphError::SelfLoop { node: 2 })
+    );
+    assert_eq!(
+        Graph::from_edges(3, [(0, 1), (0, 9), (2, 2), (7, 0)]),
+        Err(GraphError::NodeOutOfRange { node: 9, n: 3 })
+    );
+    assert_eq!(
+        Graph::from_edges(3, [(1, 0), (7, 9), (0, 9)]),
+        Err(GraphError::NodeOutOfRange { node: 7, n: 3 })
+    );
+    let base = Graph::from_edges(3, [(0, 1)]).unwrap();
+    assert_eq!(
+        base.with_edges([(1, 2), (1, 1), (5, 0)]),
+        Err(GraphError::SelfLoop { node: 1 })
+    );
 }

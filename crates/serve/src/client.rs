@@ -6,13 +6,13 @@
 //! tests use it to probe the daemon with malformed frames.
 
 use crate::proto::{self, Message, Request, Response};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 
 /// One protocol connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl Client {
@@ -26,7 +26,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            writer: stream,
         })
     }
 

@@ -6,6 +6,12 @@
 //! any number of frames; the server answers each request frame with
 //! exactly one response frame, in order.
 //!
+//! [`write_frame`] hands the length prefix and the payload to the writer
+//! as one vectored write (`writev` on a socket), with no copy. As two
+//! writes, Nagle's algorithm would hold the payload's tail until the
+//! peer's delayed ACK of the prefix: about 40 ms for any frame of
+//! 8–64 KB.
+//!
 //! ```text
 //! frame    := len:u32  payload                  (len = payload bytes)
 //! payload  := "LSRV" ver:u8 opcode:u8 body
@@ -36,7 +42,7 @@
 //! `locert-core`'s `RejectReason::code` convention.
 
 use locert_core::bits::Certificate;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol magic: `"LSRV"` as little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"LSRV");
@@ -596,13 +602,26 @@ pub fn decode(payload: &[u8]) -> Result<Message, (ErrorCode, String)> {
 
 /// Writes one frame (length prefix + payload) and flushes.
 ///
+/// Prefix and payload go out together in one vectored write, without
+/// copying the payload; the loop only repeats if the writer takes part
+/// of the frame (a full socket buffer).
+///
 /// # Errors
 ///
 /// Propagates the underlying write error.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(k) => IoSlice::advance_slices(&mut rest, k),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -863,6 +882,70 @@ mod tests {
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), ErrorCode::FrameTooLarge.code());
+    }
+
+    /// Takes a whole vectored write in one call, as a socket's `writev`
+    /// does, and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let before = self.bytes.len();
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_of_prefix_and_payload() {
+        // A prefix written apart from its payload lets Nagle hold the
+        // payload's tail until the peer's delayed ACK; one write per
+        // frame, at sizes either side of and inside the 8–64 KB band.
+        for len in [0, 5 << 10, 40 << 10, 100 << 10] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            assert_eq!(&w.bytes[..4], &(len as u32).to_le_bytes());
+            assert_eq!(&w.bytes[4..], &payload[..]);
+        }
+    }
+
+    #[test]
+    fn write_frame_resumes_after_partial_writes() {
+        // A writer taking at most 3 bytes per call (a full socket
+        // buffer) still receives prefix ‖ payload intact.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let k = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..k]);
+                Ok(k)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = encode_requests(&sample_requests());
+        let mut w = Trickle(Vec::new());
+        write_frame(&mut w, &payload).unwrap();
+        let mut cursor = io::Cursor::new(w.0);
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload));
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! One accept-loop thread hands each TCP connection to its own handler
 //! thread; a connection carries any number of request-batch frames, each
-//! answered by one response-batch frame in order. The heavy lifting —
-//! `run_verification` fan-out over vertices — already runs on the shared
-//! `locert-par` pool, so handler threads are thin coordinators.
+//! answered by one response-batch frame in order. Accepted sockets set
+//! `TCP_NODELAY` and each reply frame leaves in one write (see
+//! [`proto`](crate::proto)). The accept loop reaps finished handler
+//! threads on every accept and backs off briefly on `accept()` errors.
+//! The heavy lifting — `run_verification` fan-out over vertices —
+//! already runs on the shared `locert-par` pool, so handler threads are
+//! thin coordinators.
 //!
 //! Request execution is sequential within a batch, with all admission
 //! permits acquired upfront in request order: a batch carrying more
@@ -30,7 +34,7 @@ use locert_core::schemes::common::id_bits_for;
 use locert_graph::io::{MAX_EDGES, MAX_VERTICES};
 use locert_graph::{Graph, IdAssignment};
 use locert_trace::journal::{self, Event};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -176,6 +180,9 @@ impl Drop for Server {
     }
 }
 
+/// Pause before retrying a failed `accept()`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -187,11 +194,22 @@ fn accept_loop(
         }
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
-            Err(_) => continue,
+            Err(_) => {
+                // Typically fd exhaustion: back off instead of spinning
+                // until a handler exits and frees a descriptor.
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
         };
         if shared.draining() {
             return; // the wake-up connection from `begin_drain`
         }
+        // Reap finished handlers so the registry holds live connections,
+        // not every connection ever accepted.
+        handlers
+            .lock()
+            .expect("handler registry poisoned")
+            .retain(|h| !h.is_finished());
         let conn = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
         let conn_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
@@ -212,8 +230,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn: u64) -> io::
     // The read timeout is the drain poll interval: an idle connection
     // notices the stop flag within one period.
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    // Each reply leaves in one write (`proto::write_frame`); with Nagle
+    // off it is sent at once instead of waiting on the client's ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     let mut req_seq = 0u64;
     // Resumable across timeout polls: the drain-poll timeout can fire
     // mid-frame on a slow writer, and the partially-read prefix/payload
@@ -270,7 +291,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn: u64) -> io::
                 return Ok(());
             }
         }
-        writer.flush()?;
     }
 }
 
@@ -509,4 +529,35 @@ fn handle_batch(
         responses.push(response);
     }
     responses
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_loop_reaps_finished_handlers() {
+        let mut server = Server::start(&ServeConfig::default()).unwrap();
+        let live = |server: &Server| server.handlers.lock().unwrap().len();
+        for _ in 0..300 {
+            drop(TcpStream::connect(server.addr()).unwrap());
+        }
+        // Every handler above sees EOF and exits; the next accepts reap
+        // them. Without reaping the registry would hold 300+ handles.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            drop(TcpStream::connect(server.addr()).unwrap());
+            std::thread::sleep(Duration::from_millis(20));
+            let n = live(&server);
+            if n <= 8 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{n} handler handles still registered after 300 closed connections"
+            );
+        }
+        server.shutdown();
+        assert_eq!(live(&server), 0);
+    }
 }

@@ -4,8 +4,9 @@
 //! same-seed runs.
 
 use locert_serve::loadgen::{build_workload, run_loadgen, LoadgenConfig};
-use locert_serve::proto::{CacheDisposition, Mode, Response};
+use locert_serve::proto::{self, CacheDisposition, Mode, Request, Response};
 use locert_serve::{Client, ServeConfig, Server};
+use std::time::{Duration, Instant};
 
 fn fresh_server() -> Server {
     Server::start(&ServeConfig::default()).expect("bind an ephemeral port")
@@ -150,4 +151,54 @@ fn repeated_prove_hits_the_cache_and_returns_identical_certificates() {
         ) => assert_eq!(cold, warm, "the cache serves the exact certificates"),
         other => panic!("expected miss then hit, got {other:?}"),
     }
+}
+
+#[test]
+fn mid_size_replies_do_not_stall_on_delayed_acks() {
+    // A reply of 8–64 KB whose length prefix and payload leave in two
+    // writes waits ~40 ms: Nagle holds the payload's tail until the
+    // client's delayed ACK. One write per frame with TCP_NODELAY
+    // answers in a few milliseconds.
+    let server = fresh_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let requests: Vec<Request> = [1500, 2500, 4000, 6000]
+        .into_iter()
+        .map(|n: u32| Request {
+            mode: Mode::Prove,
+            scheme: "acyclicity".to_string(),
+            n,
+            edges: (1..n).map(|v| (v - 1, v)).collect(),
+            inputs: None,
+            certs: None,
+        })
+        .collect();
+    // Warm the cache so the timed exchanges measure the wire, not the
+    // prover.
+    for request in &requests {
+        client.send_batch(std::slice::from_ref(request)).unwrap();
+    }
+    let mut exchanges = Vec::new();
+    for request in requests.iter().cycle().take(16) {
+        let t0 = Instant::now();
+        let responses = client.send_batch(std::slice::from_ref(request)).unwrap();
+        exchanges.push(t0.elapsed());
+        let reply = proto::encode_responses(&responses).len();
+        assert!(
+            (8 << 10..64 << 10).contains(&reply),
+            "reply of {reply} bytes lies outside the 8–64 KB band"
+        );
+        assert!(matches!(
+            responses[0],
+            Response::Ok {
+                cache: CacheDisposition::Hit,
+                ..
+            }
+        ));
+    }
+    exchanges.sort();
+    let median = exchanges[exchanges.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median exchange {median:?} (all: {exchanges:?})"
+    );
 }

@@ -63,10 +63,17 @@ pub fn io_error(msg: impl Into<String>) -> Failure {
     Failure::Io(msg.into())
 }
 
+/// The largest worker count `--threads` or `LOCERT_THREADS` may ask
+/// for: each worker is an OS thread, spawned when the pool is built.
+const MAX_THREADS: usize = 1024;
+
 /// Validates one thread-count value; `source` names it in the message.
 fn parse_threads(source: String, raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
         Ok(0) => Err(format!("{source}: thread count must be at least 1")),
+        Ok(n) if n > MAX_THREADS => Err(format!(
+            "{source}: thread count must be at most {MAX_THREADS}"
+        )),
         Ok(n) => Ok(n),
         Err(_) => Err(format!("{source}: thread count must be an integer")),
     }
@@ -74,9 +81,9 @@ fn parse_threads(source: String, raw: &str) -> Result<usize, String> {
 
 /// Resolves the worker count from the `--threads` value and the value of
 /// `LOCERT_THREADS` (passed in, so callers decide where it comes from).
-/// The flag wins; both are validated whenever present, so a zero or
-/// non-integer count is an error from either source. `Ok(None)` leaves
-/// the pool at its default width.
+/// The flag wins; both are validated whenever present, so a zero,
+/// non-integer or above-[`MAX_THREADS`] count is an error from either
+/// source. `Ok(None)` leaves the pool at its default width.
 pub(crate) fn resolve_threads(
     flag: Option<&str>,
     env: Option<&str>,
@@ -303,6 +310,7 @@ mod tests {
     fn thread_count_contract() {
         let zero = "thread count must be at least 1";
         let nan = "thread count must be an integer";
+        let huge = "thread count must be at most 1024";
         // (--threads value, LOCERT_THREADS value, resolution)
         let table = [
             (None, None, Ok(None)),
@@ -315,11 +323,33 @@ mod tests {
             (Some("-1"), Some("1"), Err(format!("--threads -1: {nan}"))),
             (None, Some("0"), Err(format!("LOCERT_THREADS=0: {zero}"))),
             (None, Some("abc"), Err(format!("LOCERT_THREADS=abc: {nan}"))),
+            (Some("1024"), None, Ok(Some(MAX_THREADS))),
+            (Some("1025"), None, Err(format!("--threads 1025: {huge}"))),
+            (
+                Some("1000000"),
+                Some("2"),
+                Err(format!("--threads 1000000: {huge}")),
+            ),
+            (
+                None,
+                Some("1000000"),
+                Err(format!("LOCERT_THREADS=1000000: {huge}")),
+            ),
+            (
+                None,
+                Some("18446744073709551615"),
+                Err(format!("LOCERT_THREADS=18446744073709551615: {huge}")),
+            ),
             // A bad environment value is an error even when the flag wins.
             (
                 Some("2"),
                 Some("abc"),
                 Err(format!("LOCERT_THREADS=abc: {nan}")),
+            ),
+            (
+                Some("2"),
+                Some("1000000"),
+                Err(format!("LOCERT_THREADS=1000000: {huge}")),
             ),
         ];
         for (flag, env, want) in table {

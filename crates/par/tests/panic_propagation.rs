@@ -1,10 +1,11 @@
-//! Panic propagation: a panicking task must abort its batch or scope with
-//! the *original* payload, without deadlocking the submitter, and leave
-//! the pool usable for the next batch.
+//! Panic propagation: a panicking chunk must abort its job with the
+//! *original* payload, without deadlocking the submitter, and leave the
+//! pool usable for the next job.
 
 use locert_par::Pool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 fn payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
@@ -18,39 +19,37 @@ fn payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
 fn chunk_panic_reaches_the_submitter() {
     let pool = Pool::new(4);
     let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.par_chunks(1024, 16, |range| {
-            if range.contains(&500) {
+        pool.par_find_first(1024, |i| {
+            if i == 500 {
                 panic!("leaf exploded at 500");
             }
-        });
+            None::<()>
+        })
     }))
-    .expect_err("batch should propagate the leaf panic");
+    .expect_err("job should propagate the chunk panic");
     assert_eq!(payload_str(&*err), "leaf exploded at 500");
 
-    // The pool survives: the next batch runs to completion.
+    // The pool survives: the next job runs to completion.
     let done = AtomicUsize::new(0);
-    pool.par_chunks(256, 8, |range| {
-        done.fetch_add(range.len(), Ordering::Relaxed);
-    });
+    pool.par_map_collect(256, |_| done.fetch_add(1, Ordering::Relaxed));
     assert_eq!(done.load(Ordering::Relaxed), 256);
 }
 
 #[test]
-fn scope_panic_reaches_the_submitter() {
-    let pool = Pool::new(4);
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for i in 0..64 {
-                s.spawn(move || {
-                    if i == 13 {
-                        panic!("task 13 failed");
-                    }
-                });
-            }
-        });
-    }))
-    .expect_err("scope should propagate the task panic");
-    assert_eq!(payload_str(&*err), "task 13 failed");
+fn find_first_panic_reaches_the_submitter() {
+    for threads in [1, 4] {
+        let pool = Pool::new(threads);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_find_first(64, |i| {
+                if i == 13 {
+                    panic!("task 13 failed");
+                }
+                None::<()>
+            })
+        }))
+        .expect_err("find-first should propagate the panic");
+        assert_eq!(payload_str(&*err), "task 13 failed", "threads = {threads}");
+    }
 }
 
 #[test]
@@ -71,22 +70,30 @@ fn map_collect_panic_does_not_deadlock_inline_or_parallel() {
 }
 
 #[test]
-fn scope_body_panic_still_drains_spawned_tasks() {
+fn panic_is_raised_only_after_the_job_drains() {
     let pool = Pool::new(4);
-    let ran = AtomicUsize::new(0);
+    // Indices 0 and 31 fall in different chunks; the barrier holds both
+    // until they run at once, so index 31 is still in flight when index
+    // 0 panics.
+    let both_running = Barrier::new(2);
+    let finished = AtomicBool::new(false);
     let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
+        pool.par_map_collect(32, |i| match i {
+            0 => {
+                both_running.wait();
+                panic!("first chunk failed");
             }
-            panic!("scope body failed");
-        });
+            31 => {
+                both_running.wait();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.store(true, Ordering::SeqCst);
+            }
+            _ => {}
+        })
     }))
-    .expect_err("scope body panic should propagate");
-    assert_eq!(payload_str(&*err), "scope body failed");
-    // Every spawned task either ran or was accounted before the unwind
-    // left `scope` — nothing may still be running against freed stack.
-    assert_eq!(ran.load(Ordering::SeqCst), 32);
+    .expect_err("the chunk panic should propagate");
+    assert_eq!(payload_str(&*err), "first chunk failed");
+    // The unwind left `par_map_collect` only after index 31 finished:
+    // nothing may still be running against the caller's freed stack.
+    assert!(finished.load(Ordering::SeqCst));
 }

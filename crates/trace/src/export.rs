@@ -614,14 +614,14 @@ mod tests {
             spans: Vec::new(),
         };
         snap.counters.insert("core.x".to_string(), 3);
-        snap.counters.insert("par.worker.steals".to_string(), 9);
+        snap.counters.insert("par.worker.tasks".to_string(), 9);
         let journal = crate::journal::JournalSnapshot {
             entries: Vec::new(),
             dropped: 0,
         };
         let doc = metrics_v2(true, &[("e1".to_string(), 0.5, snap)], Some(&journal));
         let section = deterministic_section(&doc).expect("v2 has both keys");
-        assert!(section.contains("core.x") && !section.contains("par.worker.steals"));
+        assert!(section.contains("core.x") && !section.contains("par.worker.tasks"));
         let (capacity, dropped, entries) = journal_section(&doc).unwrap().expect("journal");
         assert_eq!((dropped, entries), (0, 0));
         assert!(capacity >= 1);

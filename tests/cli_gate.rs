@@ -90,6 +90,39 @@ fn bad_thread_counts_are_usage_errors_in_every_subcommand() {
     }
 }
 
+/// A worker count above the cap is a usage error from either source.
+/// Both commands would finish without building the pool even if the
+/// count were accepted, so this test never starts pool threads.
+#[test]
+fn huge_thread_counts_are_usage_errors() {
+    let cases: [(&[&str], &str, &str); 2] = [
+        (
+            &["boundcheck", "--list", "--threads", "1000000"],
+            "",
+            "--threads 1000000",
+        ),
+        (
+            &["trace-check", "/nonexistent.json"],
+            "1000000",
+            "LOCERT_THREADS=1000000",
+        ),
+    ];
+    for (args, env, source) in cases {
+        let mut cmd = locert();
+        cmd.args(args);
+        if !env.is_empty() {
+            cmd.env("LOCERT_THREADS", env);
+        }
+        let out = cmd.output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr_of(&out).contains(&format!("{source}: thread count must be at most 1024")),
+            "stderr names the source and the cap: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
 #[test]
 fn usage_errors_exit_two_and_help_exits_zero() {
     for args in [&[][..], &["frobnicate"], &["tracescope"]] {
